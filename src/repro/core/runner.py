@@ -574,19 +574,15 @@ class Runner:
                     )
                     continue
             accumulated = 0.0
-            job_next_step = job.next_step
-            while True:
-                step = job_next_step()
-                if step is None:
-                    break
-                accumulated += step.compute_ns + (
-                    0.0 if rng_random() >= tlb_p else walk_miss(step.page)
+            for compute_ns, page, is_write in job.steps:
+                accumulated += compute_ns + (
+                    0.0 if rng_random() >= tlb_p else walk_miss(page)
                 )
                 self._accesses += 1
                 if not with_cache:
                     accumulated += flat
                 else:
-                    result = cache_access(step.page, step.is_write)
+                    result = cache_access(page, is_write)
                     if result.hit:
                         accumulated += result.latency_ns
                     else:
@@ -598,7 +594,7 @@ class Runner:
                         accumulated = 0.0
                         yield result.completion
                         accumulated += yield from self._replay_until_hit(
-                            step.page, step.is_write
+                            page, is_write
                         )
                         self.stats.add("sync_miss_waits")
                 if accumulated >= TIME_QUANTUM_NS:
@@ -632,22 +628,18 @@ class Runner:
 
         tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
         accumulated = 0.0
-        job_next_step = job.next_step
-        while True:
-            step = job_next_step()
-            if step is None:
-                break
+        for compute_ns, page, is_write in job.steps:
             walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(step.page))
-            accumulated += step.compute_ns + walk_ns
-            record.compute += step.compute_ns
+                       else walk_miss(page))
+            accumulated += compute_ns + walk_ns
+            record.compute += compute_ns
             record.tlb_walk += walk_ns
             self._accesses += 1
             if not with_cache:
                 accumulated += flat
                 record.dram_hit += flat
             else:
-                result = cache_access(step.page, step.is_write)
+                result = cache_access(page, is_write)
                 if result.hit:
                     accumulated += result.latency_ns
                     record.dram_hit += result.latency_ns
@@ -660,15 +652,15 @@ class Runner:
                     accumulated = 0.0
                     wait_start = engine.now
                     tracer.instant(track, "miss", wait_start,
-                                   {"page": step.page})
+                                   {"page": page})
                     yield result.completion
                     replay_ns = yield from self._replay_until_hit(
-                        step.page, step.is_write
+                        page, is_write
                     )
                     record.sync_wait += engine.now - wait_start
                     record.add_span("sync_wait", wait_start, engine.now)
                     tracer.complete(track, "sync_wait", wait_start,
-                                    engine.now, {"page": step.page})
+                                    engine.now, {"page": page})
                     accumulated += replay_ns
                     record.dram_hit += replay_ns
                     self.stats.add("sync_miss_waits")
@@ -884,57 +876,65 @@ class Runner:
         # multiplexed modes.  The hit paths are handled inline so the
         # miss generators (and their setup cost) only run on misses.
         astriflash = mode is PagingMode.ASTRIFLASH
-        cache = self.machine.dram_cache if astriflash else None
-        pager = None if astriflash else self.machine.pager
+        cache_access = self.machine.dram_cache.access if astriflash else None
+        pager_access = None if astriflash else self.machine.pager.access
         flat = self.machine.flat_dram_latency_ns
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
-        job_next_step = thread.job.next_step
+        quantum = TIME_QUANTUM_NS
+        # The job's step iterator is bound once per burst.  A parked
+        # thread resumes with the step that missed (replayed after the
+        # refill); only a park writes the pending step back.
+        steps = thread.job.steps
+        step = thread.current_step
+        thread.current_step = None
 
         while True:
-            step = thread.current_step
             if step is None:
-                step = job_next_step()
-                thread.current_step = step
-            if step is None:
-                if accumulated > 0.0:
-                    yield accumulated
-                    self._busy_ns += accumulated
-                job = library.on_finish(thread)
-                self._finish_job(job)
-                return
+                step = next(steps, None)
+                if step is None:
+                    if accumulated > 0.0:
+                        yield accumulated
+                        self._busy_ns += accumulated
+                    job = library.on_finish(thread)
+                    self._finish_job(job)
+                    return
+            compute_ns, page, is_write = step
 
-            accumulated += step.compute_ns + (
-                0.0 if rng_random() >= tlb_p else walk_miss(step.page)
+            accumulated += compute_ns + (
+                0.0 if rng_random() >= tlb_p else walk_miss(page)
             )
             self._accesses += 1
 
             if astriflash:
-                result = cache.access(step.page, step.is_write)
+                result = cache_access(page, is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
                 else:
                     outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, step, accumulated, result
+                        core_id, library, thread, page, is_write,
+                        accumulated, result
                     )
             else:
-                if pager.access(step.page, step.is_write):
+                if pager_access(page, is_write):
                     outcome = accumulated + flat
                 else:
                     outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, step, accumulated
+                        core_id, library, thread, page, is_write,
+                        accumulated
                     )
             if outcome is None:
                 # Thread parked on the miss: back to the scheduler.
+                thread.current_step = step
                 return
             accumulated = outcome
-            thread.current_step = None
+            step = None
             if thread.forward_progress:
                 # The forced instruction retired: clear the bit.
                 thread.forward_progress = False
                 core.registers.retire_resuming_instruction()
-            if accumulated >= TIME_QUANTUM_NS:
+            if accumulated >= quantum:
                 yield accumulated
                 self._busy_ns += accumulated
                 accumulated = 0.0
@@ -959,55 +959,58 @@ class Runner:
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
         job = thread.job
-        job_next_step = job.next_step
+        steps = job.steps
+        step = thread.current_step
+        thread.current_step = None
         track = f"core{core_id}"
         tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
 
         while True:
-            step = thread.current_step
             if step is None:
-                step = job_next_step()
-                thread.current_step = step
-            if step is None:
-                if accumulated > 0.0:
-                    yield accumulated
-                    self._busy_ns += accumulated
-                tracer.pop(track, engine.now)
-                finished = library.on_finish(thread)
-                self._finish_job(finished)
-                return
+                step = next(steps, None)
+                if step is None:
+                    if accumulated > 0.0:
+                        yield accumulated
+                        self._busy_ns += accumulated
+                    tracer.pop(track, engine.now)
+                    finished = library.on_finish(thread)
+                    self._finish_job(finished)
+                    return
+            compute_ns, page, is_write = step
 
             walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(step.page))
-            accumulated += step.compute_ns + walk_ns
-            record.compute += step.compute_ns
+                       else walk_miss(page))
+            accumulated += compute_ns + walk_ns
+            record.compute += compute_ns
             record.tlb_walk += walk_ns
             self._accesses += 1
 
             if astriflash:
-                result = cache.access(step.page, step.is_write)
+                result = cache.access(page, is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
                     record.dram_hit += result.latency_ns
                 else:
                     outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, step, accumulated,
-                        result, record
+                        core_id, library, thread, page, is_write,
+                        accumulated, result, record
                     )
             else:
-                if pager.access(step.page, step.is_write):
+                if pager.access(page, is_write):
                     outcome = accumulated + flat
                     record.dram_hit += flat
                 else:
                     outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, step, accumulated, record
+                        core_id, library, thread, page, is_write,
+                        accumulated, record
                     )
             if outcome is None:
                 # Thread parked on the miss: back to the scheduler.
+                thread.current_step = step
                 tracer.pop(track, engine.now)
                 return
             accumulated = outcome
-            thread.current_step = None
+            step = None
             if thread.forward_progress:
                 thread.forward_progress = False
                 core.registers.retire_resuming_instruction()
@@ -1019,7 +1022,8 @@ class Runner:
     # -- AstriFlash miss path ------------------------------------------------------
 
     def _astriflash_miss(self, core_id: int, library, thread: UserThread,
-                         step, accumulated: float, result, record=None):
+                         page: int, is_write: bool, accumulated: float,
+                         result, record=None):
         """Miss continuation for the AstriFlash access path; the hit
         case is handled inline in :meth:`_run_thread`.
 
@@ -1041,7 +1045,7 @@ class Runner:
                         * self.machine.flat_dram_latency_ns)
         pt_completion = None
         if self.machine.page_tables_in_flash_space:
-            pt_page = self.machine.page_table_page(step.page)
+            pt_page = self.machine.page_table_page(page)
             pt_result = self.machine.dram_cache.access(pt_page, False)
             if pt_result.hit:
                 cold_walk_ns = (
@@ -1063,7 +1067,7 @@ class Runner:
             record.tlb_walk += cold_walk_ns
             record.miss_signal += result.latency_ns + flush_ns
             self._tracer.instant(f"core{core_id}", "miss", engine.now,
-                                 {"page": step.page})
+                                 {"page": page})
         if pt_completion is not None:
             # The hardware walker blocks the core until the PTE page
             # arrives from flash; no thread switch can hide it.
@@ -1076,7 +1080,7 @@ class Runner:
                 record.add_span("tlb_walk", walk_start, engine.now)
                 self._tracer.complete(f"core{core_id}", "pt_walk_wait",
                                       walk_start, engine.now,
-                                      {"page": step.page})
+                                      {"page": page})
 
         if thread.forward_progress:
             # Sec. IV-C3: complete synchronously, do not deschedule.
@@ -1084,12 +1088,12 @@ class Runner:
             wait_start = engine.now
             yield result.completion
             replay_ns = yield from self._replay_until_hit(
-                step.page, step.is_write
+                page, is_write
             )
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       replay_ns, step.page)
+                                       replay_ns, page)
             return replay_ns
 
         if library.scheduler.pending_full:
@@ -1099,16 +1103,16 @@ class Runner:
             wait_start = engine.now
             yield result.completion
             replay_ns = yield from self._replay_until_hit(
-                step.page, step.is_write
+                page, is_write
             )
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       replay_ns, step.page)
+                                       replay_ns, page)
             return replay_ns
 
         # Park the thread and return to the scheduler.
-        library.on_miss(thread, step.page, engine.now)
+        library.on_miss(thread, page, engine.now)
         thread.wait_signal = result.completion
         observe(result.completion,
                 self._make_ready_callback(core_id, library, thread))
@@ -1117,7 +1121,8 @@ class Runner:
     # -- OS-Swap fault path -----------------------------------------------------------
 
     def _os_swap_fault(self, core_id: int, library, thread: UserThread,
-                       step, accumulated: float, record=None):
+                       page: int, is_write: bool, accumulated: float,
+                       record=None):
         """Fault continuation for the OS-Swap access path; the
         resident-set hit is handled inline in :meth:`_run_thread`."""
         pager = self.machine.pager
@@ -1133,15 +1138,15 @@ class Runner:
         if record is not None:
             record.miss_signal += self.config.os.page_fault_kernel_ns
             self._tracer.instant(f"core{core_id}", "fault", engine.now,
-                                 {"page": step.page})
+                                 {"page": page})
 
-        done = Signal(engine, f"fault-done:{step.page}")
+        done = Signal(engine, f"fault-done:{page}")
 
         def fault_and_signal():
-            yield from pager.fault(step.page, step.is_write)
+            yield from pager.fault(page, is_write)
             done.fire()
 
-        spawn(engine, fault_and_signal(), name=f"fault:{step.page}")
+        spawn(engine, fault_and_signal(), name=f"fault:{page}")
 
         if thread.forward_progress or library.scheduler.pending_full:
             self.stats.add("sync_fault_waits")
@@ -1150,10 +1155,10 @@ class Runner:
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       flat, step.page)
+                                       flat, page)
             return flat
 
-        library.on_miss(thread, step.page, engine.now)
+        library.on_miss(thread, page, engine.now)
         thread.wait_signal = done
         observe(done, self._make_ready_callback(core_id, library, thread))
         return None

@@ -488,21 +488,8 @@ class FrontsideController:
         def cleanup(_value):
             self._pending.pop(request.page, None)
 
-        _on_fire(request.install_signal, cleanup)
+        observe(request.install_signal, cleanup)
 
     def miss_ratio(self) -> float:
         return self.stats.ratio("misses", "accesses")
 
-
-def _on_fire(signal: Signal, callback) -> None:
-    """Invoke ``callback(value)`` when ``signal`` fires.
-
-    Lightweight alternative to spawning a whole process just to observe
-    a signal.
-    """
-
-    class _Observer:
-        def _resume(self, value):
-            callback(value)
-
-    signal._add_waiter(_Observer())  # type: ignore[arg-type]

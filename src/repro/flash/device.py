@@ -358,8 +358,8 @@ class FlashDevice:
             # pass is mid-flight) the writer is merely queued behind
             # GC, and under a write burst many writers legitimately
             # wait several passes for a free page.
-            if (self.ftl.has_reclaimable(target_plane)
-                    or self.gc.plane_collecting(target_plane)):
+            if (self.gc.plane_collecting(target_plane)
+                    or self.ftl.has_reclaimable(target_plane)):
                 stalls = 0
             stalls += 1
             if stalls > 64:

@@ -26,24 +26,27 @@ PhysicalSlot = Tuple[int, int]
 
 
 class Block:
-    """One erase block: a run of physical pages with a valid bitmap."""
+    """One erase block: a run of physical pages with a valid bitmap.
 
-    __slots__ = ("index", "pages_per_block", "valid", "write_offset", "erase_count")
+    ``valid_count`` mirrors the number of non-None bitmap entries; the
+    plane keeps it current on allocate, invalidate and GC migration so
+    victim selection never rescans the bitmaps.
+    """
+
+    __slots__ = ("index", "pages_per_block", "valid", "valid_count",
+                 "write_offset", "erase_count")
 
     def __init__(self, index: int, pages_per_block: int) -> None:
         self.index = index
         self.pages_per_block = pages_per_block
         self.valid: List[Optional[int]] = [None] * pages_per_block
+        self.valid_count = 0
         self.write_offset = 0
         self.erase_count = 0
 
     @property
     def is_full(self) -> bool:
         return self.write_offset >= self.pages_per_block
-
-    @property
-    def valid_count(self) -> int:
-        return sum(1 for page in self.valid if page is not None)
 
     def erase(self) -> None:
         if any(page is not None for page in self.valid):
@@ -85,6 +88,7 @@ class PlaneState:
                 raise ProtocolError("free-list block was not erased")
         offset = block.write_offset
         block.valid[offset] = logical_page
+        block.valid_count += 1
         block.write_offset += 1
         return (block.index, offset)
 
@@ -94,6 +98,7 @@ class PlaneState:
         if block.valid[offset] is None:
             raise ProtocolError(f"double invalidate of {slot} on plane {self.plane_index}")
         block.valid[offset] = None
+        block.valid_count -= 1
 
     def gc_victim(self) -> Optional[int]:
         """Greedy victim: fullest-garbage block, wear-aware tie break.
@@ -245,6 +250,7 @@ class PageMappingFtl:
             if logical_page is None:
                 continue
             victim.valid[offset] = None
+            victim.valid_count -= 1
             slot = plane.allocate(logical_page)
             self._mapping[logical_page] = (plane_index, slot)
             migrated += 1

@@ -273,7 +273,7 @@ def step_deltas(comp: List[float], tlb_draws: np.ndarray, tlb_p: float,
     """Per-step pre-access latency and TLB-miss flags.
 
     Replicates the scalar expression
-    ``step.compute_ns + (0.0 if draw >= tlb_p else walk_ns)`` — one
+    ``compute_ns + (0.0 if draw >= tlb_p else walk_ns)`` — one
     float64 add per step, walk charged on ``draw < tlb_p`` (the exact
     complement, ties included).  Small jobs take a plain-Python pass
     (IEEE adds are the same bits either way and the per-call numpy
@@ -805,7 +805,7 @@ def run_merged(runner) -> None:
 
     core_job: List[Optional[object]] = [None] * num_cores
     core_left = [0] * num_cores      # dealt: steps left in current job
-    core_pull = [None] * num_cores   # generic: bound job.next_step
+    core_pull = [None] * num_cores   # generic: the job's step iterator
     parked = [False] * num_cores
 
     delta_events = 0
@@ -914,7 +914,7 @@ def run_merged(runner) -> None:
                 if dealt:
                     core_left[bidx] = steps_per_job
                 else:
-                    core_pull[bidx] = job.next_step
+                    core_pull[bidx] = job.steps
             acc = 0.0
             done = False
             if dealt:
@@ -941,10 +941,11 @@ def run_merged(runner) -> None:
             else:
                 pull = core_pull[bidx]
                 while True:
-                    step = pull()
+                    step = next(pull, None)
                     if step is None:
                         done = True
                         break
+                    compute_ns, _page, _is_write = step
                     if draw_pos >= len(draw_buf):
                         draw_buf = tlb_take(MERGED_STEP_CHUNK).tolist()
                         draw_pos = 0
@@ -952,9 +953,9 @@ def run_merged(runner) -> None:
                     draw_pos += 1
                     if draw < tlb_p:
                         tlb_misses += 1
-                        acc += step.compute_ns + walk_ns
+                        acc += compute_ns + walk_ns
                     else:
-                        acc += step.compute_ns + 0.0
+                        acc += compute_ns + 0.0
                     acc += flat
                     accesses += 1
                     if acc >= quantum:

@@ -44,8 +44,8 @@ class UserThread:
         # one instruction on its next dispatch (Sec. IV-C3).
         self.forward_progress = False
         self.switches = 0
-        # Runner-facing state: the step being (re)executed and the
-        # install signal this thread is parked on.
+        # Runner-facing state: the step a parked thread replays on its
+        # next dispatch and the install signal it is parked on.
         self.current_step = None
         self.wait_signal = None
 

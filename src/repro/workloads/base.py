@@ -1,11 +1,18 @@
 """Workload and job abstractions.
 
 A *job* is one client request (a database transaction, a lookup, ...).
-Executing a job produces a sequence of :class:`Step` objects: a compute
-segment (cycles the core spends before the next memory access that
-reaches DRAM) followed by one page access.  The core loop advances
-through the steps; when a step's page misses the DRAM cache the thread
-halts and the same step is replayed after the refill.
+Executing a job produces a sequence of :data:`Step` tuples
+``(compute_ns, page, is_write)``: a compute segment (nanoseconds the
+core spends before the next memory access that reaches DRAM) followed
+by one page access.  The core loop advances through the steps; when a
+step's page misses the DRAM cache the thread halts and the same step is
+replayed after the refill.
+
+Steps are plain tuples rather than objects because they are the
+simulator's highest-volume value: every access of every job builds one,
+and the consumers (runner loops, warm-up, vector planners) unpack all
+three fields at once.  A tuple display costs no ``__init__`` frame, and
+unpacking it costs no attribute lookups.
 
 Workloads own their data structures and produce jobs; they also declare
 the knobs the core model needs (typical ROB occupancy for the flush
@@ -16,28 +23,24 @@ Sec. VI-A).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 
-
-class Step:
-    """One compute segment followed by one memory access."""
-
-    __slots__ = ("compute_ns", "page", "is_write")
-
-    def __init__(self, compute_ns: float, page: int, is_write: bool = False):
-        self.compute_ns = compute_ns
-        self.page = page
-        self.is_write = is_write
-
-    def __repr__(self) -> str:
-        rw = "W" if self.is_write else "R"
-        return f"<Step {self.compute_ns:.0f}ns {rw} page={self.page}>"
+#: One compute segment followed by one memory access, in field order
+#: ``(compute_ns, page, is_write)``: ``compute_ns`` is a float (ns of
+#: compute before the access), ``page`` the logical page touched, and
+#: ``is_write`` True for a store.  Producers yield tuple displays;
+#: consumers unpack ``compute_ns, page, is_write = step``.
+Step = Tuple[float, int, bool]
 
 
 class Job:
-    """One request: an iterator of steps plus latency bookkeeping."""
+    """One request: an iterator of steps plus latency bookkeeping.
+
+    ``steps`` is the job's :data:`Step` iterator; consumers pull it
+    directly (``next(job.steps, None)`` or a ``for`` loop).
+    """
 
     __slots__ = ("job_id", "workload_name", "steps", "arrived_at",
                  "started_at", "finished_at", "queue_latency_ns",
@@ -54,10 +57,6 @@ class Job:
         self.queue_latency_ns: Optional[float] = None
         self.service_latency_ns: Optional[float] = None
         self.misses = 0
-
-    def next_step(self) -> Optional[Step]:
-        """The next step, or None when the job is done."""
-        return next(self.steps, None)
 
     @property
     def response_latency_ns(self) -> float:
@@ -84,7 +83,13 @@ class Workload:
         self.dataset_pages = dataset_pages
         self.seed = seed
         self._rng = random.Random(seed)
-        # Bound method: _compute runs once per generated step.
+        # Bound method: step producers draw one compute jitter per
+        # step, inlined as ``mean_ns * (0.5 + rng_random())`` — a
+        # segment uniform within +-50% of the mean.  With these bounds
+        # the stdlib's ``uniform(0.5, 1.5)`` computes
+        # ``0.5 + (1.5 - 0.5) * random()`` where the span is exactly
+        # 1.0, so ``0.5 + random()`` consumes the same draw and yields
+        # the same bits, one call frame cheaper per step.
         self._rng_random = self._rng.random
         self._next_job_id = 0
         # Lazily-created buffered RNG bridge for numpy planners
@@ -122,10 +127,10 @@ class Workload:
         compute: List[float] = []
         pages: List[int] = []
         writes: List[bool] = []
-        for step in job.steps:
-            compute.append(step.compute_ns)
-            pages.append(step.page)
-            writes.append(step.is_write)
+        for compute_ns, page, is_write in job.steps:
+            compute.append(compute_ns)
+            pages.append(page)
+            writes.append(is_write)
         return compute, pages, writes
 
     def _planner_rng(self):
@@ -147,27 +152,11 @@ class Workload:
 
     # -- calibration helpers -------------------------------------------------
 
-    def _compute(self, mean_ns: float) -> float:
-        """A jittered compute segment (uniform +-50% around the mean).
-
-        Inlined ``uniform(0.5, 1.5)``: with these bounds the stdlib
-        computes ``0.5 + (1.5 - 0.5) * random()`` where the span is
-        exactly 1.0, so ``0.5 + random()`` consumes the same draw and
-        yields the same bits — one call frame cheaper on the hottest
-        workload path.
-        """
-        return mean_ns * (0.5 + self._rng_random())
-
     def sample_trace(self, num_jobs: int = 32) -> List[Step]:
         """Flat step trace of a few jobs (calibration/tests)."""
         steps: List[Step] = []
         for _ in range(num_jobs):
-            job = self.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                steps.append(step)
+            steps.extend(self.make_job().steps)
         return steps
 
     def average_service_time_ns(self, num_jobs: int = 64) -> float:
@@ -175,10 +164,6 @@ class Workload:
         assuming every access hits (the DRAM-only service time)."""
         total = 0.0
         for _ in range(num_jobs):
-            job = self.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                total += step.compute_ns
+            for compute_ns, _page, _is_write in self.make_job().steps:
+                total += compute_ns
         return total / num_jobs

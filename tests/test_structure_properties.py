@@ -103,6 +103,33 @@ class TestFtlProperties:
         valid = sum(block.valid_count for block in plane.blocks)
         assert valid == min(hot_pages, num_writes)
 
+    @given(st.lists(st.tuples(st.sampled_from(("write", "collect")),
+                              st.integers(0, 15)),
+                    min_size=1, max_size=300),
+           st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_valid_counts_match_bitmaps(self, ops, planes):
+        # Each block's running valid-page count must equal the count
+        # its bitmap implies after every write, GC pass and migration.
+        ftl = PageMappingFtl(num_logical_pages=16, num_planes=planes,
+                             pages_per_block=4, overprovisioning=0.9)
+        for op, page in ops:
+            plane = ftl.plane_of(page)
+            try:
+                if op == "collect":
+                    ftl.collect(plane)
+                else:
+                    while ftl.gc_pressure(plane):
+                        if ftl.collect(plane) == (0, 0):
+                            break
+                    ftl.write(page)
+            except CapacityError:
+                break
+            for state in ftl.planes:
+                for block in state.blocks:
+                    assert block.valid_count == sum(
+                        1 for logical in block.valid if logical is not None)
+
 
 class TestTagIndexCoherence:
     """The per-set ``page -> Way`` dicts are an index over the way

@@ -14,7 +14,8 @@ from repro.trace import (
     trace_statistics,
 )
 from repro.units import US
-from repro.workloads import Step, make_workload
+from repro.workloads import make_workload
+from repro.workloads.registry import _REGISTRY
 
 
 @pytest.fixture()
@@ -23,6 +24,32 @@ def recorded():
     recorder = TraceRecorder(workload)
     recorder.record(500)
     return recorder
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY) + ["trace-replay"])
+def test_steps_are_plain_tuples_that_round_trip(name):
+    if name == "trace-replay":
+        source = TraceRecorder(make_workload("tatp", 2048, seed=3))
+        workload = TraceWorkload(source.record(200), steps_per_job=16)
+    else:
+        workload = make_workload(name, 2048, seed=3)
+    recorder = TraceRecorder(workload)
+    steps = recorder.record(300)
+    for step in steps:
+        assert type(step) is tuple and len(step) == 3
+        compute_ns, page, is_write = step
+        assert type(compute_ns) is float
+        assert type(page) is int
+        assert type(is_write) is bool
+    buffer = io.StringIO()
+    assert recorder.save(buffer) == 300
+    buffer.seek(0)
+    loaded = load_trace(buffer)
+    assert len(loaded) == 300
+    for original, copy in zip(steps, loaded):
+        assert type(copy) is tuple
+        assert copy[1:] == original[1:]
+        assert copy[0] == pytest.approx(original[0], abs=0.0005)
 
 
 class TestTraceRecorder:
@@ -41,10 +68,10 @@ class TestTraceRecorder:
         steps = load_trace(path)
         assert len(steps) == 500
         for original, loaded in zip(recorded.steps, steps):
-            assert loaded.page == original.page
-            assert loaded.is_write == original.is_write
-            assert loaded.compute_ns == pytest.approx(original.compute_ns,
-                                                      abs=0.001)
+            compute_ns, page, is_write = loaded
+            assert page == original[1]
+            assert is_write == original[2]
+            assert compute_ns == pytest.approx(original[0], abs=0.001)
 
     def test_save_to_stream(self, recorded):
         buffer = io.StringIO()
@@ -82,7 +109,7 @@ class TestLoadTraceEdgeCases:
         buffer = io.StringIO(self.HEADER + "1.5,7,1\n\n\n")
         steps = load_trace(buffer)
         assert len(steps) == 1
-        assert steps[0].page == 7 and steps[0].is_write
+        assert steps[0] == (1.5, 7, True)
 
     def test_mid_file_comments_skipped(self):
         buffer = io.StringIO(self.HEADER + "# a note\n1.0,2,0\n")
@@ -108,29 +135,20 @@ class TestTraceWorkload:
     def test_replay_preserves_page_sequence(self, recorded):
         replay = TraceWorkload(recorded.steps, steps_per_job=10)
         job = replay.make_job()
-        pages = []
-        while True:
-            step = job.next_step()
-            if step is None:
-                break
-            pages.append(step.page)
-        assert pages == [s.page for s in recorded.steps[:10]]
+        pages = [page for _, page, _ in job.steps]
+        assert pages == [page for _, page, _ in recorded.steps[:10]]
 
     def test_replay_wraps_around(self):
-        steps = [Step(100.0, page, False) for page in range(5)]
+        steps = [(100.0, page, False) for page in range(5)]
         replay = TraceWorkload(steps, steps_per_job=3)
         seen = []
         for _ in range(4):
             job = replay.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                seen.append(step.page)
+            seen.extend(page for _, page, _ in job.steps)
         assert seen == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]
 
     def test_dataset_pages_inferred(self):
-        steps = [Step(1.0, 7, False), Step(1.0, 99, True)]
+        steps = [(1.0, 7, False), (1.0, 99, True)]
         replay = TraceWorkload(steps)
         assert replay.dataset_pages == 100
 
@@ -153,7 +171,7 @@ class TestTraceWorkload:
         path = str(tmp_path / "trace.csv")
         recorded.save(path)
         replay = TraceWorkload.from_file(path, steps_per_job=5)
-        assert replay.make_job().next_step().page == recorded.steps[0].page
+        assert next(replay.make_job().steps)[1] == recorded.steps[0][1]
 
 
 class TestTraceStatistics:

@@ -7,7 +7,6 @@ from repro.workloads import (
     EVALUATED_WORKLOADS,
     ClosedLoop,
     PoissonArrivals,
-    Step,
     make_workload,
 )
 
@@ -25,12 +24,7 @@ def workloads():
 def collect_steps(workload, num_jobs=20):
     steps = []
     for _ in range(num_jobs):
-        job = workload.make_job()
-        while True:
-            step = job.next_step()
-            if step is None:
-                break
-            steps.append(step)
+        steps.extend(workload.make_job().steps)
     return steps
 
 
@@ -48,10 +42,12 @@ class TestAllWorkloads:
         steps = collect_steps(workload, num_jobs=5)
         assert steps, f"{name} produced no steps"
         for step in steps:
-            assert isinstance(step, Step)
-            assert 0 <= step.page < DATASET_PAGES, \
-                f"{name} touched page {step.page} outside the dataset"
-            assert step.compute_ns > 0
+            assert isinstance(step, tuple) and len(step) == 3
+            compute_ns, page, is_write = step
+            assert 0 <= page < DATASET_PAGES, \
+                f"{name} touched page {page} outside the dataset"
+            assert compute_ns > 0
+            assert isinstance(is_write, bool)
 
     @pytest.mark.parametrize("name", EVALUATED_WORKLOADS)
     def test_job_ids_are_unique(self, workloads, name):
@@ -71,7 +67,7 @@ class TestAllWorkloads:
     def test_write_traffic_is_limited(self, workloads, name):
         # Paper Sec. V-A: workloads mimic limited write traffic.
         steps = collect_steps(workloads[name], num_jobs=30)
-        write_fraction = sum(s.is_write for s in steps) / len(steps)
+        write_fraction = sum(is_write for _, _, is_write in steps) / len(steps)
         # Array Swap is the read-write extreme at exactly half; the
         # database workloads are far below it.
         assert write_fraction <= 0.5, f"{name} writes {write_fraction:.0%}"
@@ -82,7 +78,7 @@ class TestAllWorkloads:
         # accesses (Zipfian popularity).
         from collections import Counter
         steps = collect_steps(workloads[name], num_jobs=60)
-        counts = Counter(step.page for step in steps)
+        counts = Counter(page for _, page, _ in steps)
         total = sum(counts.values())
         hottest = sum(count for _, count in
                       counts.most_common(max(1, len(counts) // 10)))
@@ -120,8 +116,7 @@ class TestSiloOcc:
         from repro.workloads import SiloWorkload
         workload = SiloWorkload(2048, seed=3)
         for _ in range(20):
-            job = workload.make_job()
-            while job.next_step() is not None:
+            for _step in workload.make_job().steps:
                 pass
         assert workload.commits > 0
         assert workload.aborts == 0  # no interleaving: no conflicts
@@ -139,7 +134,7 @@ class TestSiloOcc:
         live = [workload.make_job() for _ in range(16)]
         while live:
             job = rng.choice(live)
-            if job.next_step() is None:
+            if next(job.steps, None) is None:
                 live.remove(job)
         assert workload.commits > 0
         assert workload.aborts > 0, "interleaving must cause OCC conflicts"
