@@ -42,16 +42,48 @@ class DramCache:
         )
         self.frontside = FrontsideController(
             engine, config, self.timing, self.organization, self.backside,
-            admission=admission,
         )
         self.flash = flash
         self.stats = CounterSet("dram-cache")
+        # Write-path admission policy (DESIGN.md §4j); None on the
+        # default path.
+        self._admission = admission
+        # All hits look alike and callers never mutate results, so one
+        # shared instance serves every hit.
+        self._hit_result = AccessResult(True, self.timing.hit_latency_ns)
+        # The FC access counter's value cell, bound at the first
+        # access so the key stays absent until then.
+        self._accesses_cell = None
 
     # -- data path ------------------------------------------------------------
 
     def access(self, page: int, is_write: bool = False) -> AccessResult:
-        """One request from the on-chip hierarchy (see FC docs)."""
-        return self.frontside.access(page, is_write)
+        """One request from the on-chip hierarchy.
+
+        The frontside controller's hit decision, made here so that a
+        hit costs this call plus the tag probe in
+        :meth:`DramCacheOrganization.lookup`: count the access, run the
+        admission hooks, probe.  Hits return immediately with the full
+        hit latency; a miss continues in
+        :meth:`FrontsideController.miss`.
+        """
+        cell = self._accesses_cell
+        if cell is None:
+            cell = self._accesses_cell = self.frontside.accesses.cell()
+        cell[0] += 1.0
+        admission = self._admission
+        if admission is not None:
+            if is_write:
+                # Application stores, window-scoped later by the GC
+                # baselines; on the flash stats so they reach results.
+                self.flash.stats.add("app_writes")
+                if admission.propagate_writes:
+                    self.backside.write_through(page)
+            else:
+                admission.observe_read(page)
+        if self.organization.lookup(page, is_write):
+            return self._hit_result
+        return self.frontside.miss(page, is_write)
 
     def access_run(self, pages, writes, start: int = 0,
                    stop=None) -> int:

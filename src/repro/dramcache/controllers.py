@@ -72,7 +72,7 @@ class MissRequest:
 
 
 class AccessResult:
-    """Outcome of a frontside-controller access.
+    """Outcome of a DRAM-cache access.
 
     * hit:   ``latency_ns`` is the full in-DRAM hit latency.
     * miss:  ``latency_ns`` is the time until the miss signal reaches
@@ -278,9 +278,9 @@ class BacksideController:
         read wins or a :class:`FlashTimeoutError` instance when the
         deadline does.  Whichever side settles first wins; the pending
         timeout event is cancelled on completion (it has neither fired
-        nor been cancelled at that point, so the kernel's event
-        recycling rules are respected) and a late completion after a
-        timeout is silently dropped.
+        nor been cancelled at that point, as the kernel's cancel
+        protocol requires) and a late completion after a timeout is
+        silently dropped.
         """
         engine = self.engine
         timeout_ns = self._read_timeout_ns
@@ -389,54 +389,39 @@ class BacksideController:
 
 
 class FrontsideController:
-    """Hit/miss decision logic in front of the DRAM cache."""
+    """Miss handling in front of the DRAM cache.
+
+    The hit decision itself -- access count, admission hooks, tag
+    probe -- runs in :meth:`repro.dramcache.cache.DramCache.access`,
+    so a hit costs two calls; a miss continues in :meth:`miss`.
+    """
 
     def __init__(self, engine: Engine, config: DramCacheConfig,
                  timing: DramCacheTiming,
                  organization: DramCacheOrganization,
-                 backside: BacksideController,
-                 admission=None) -> None:
+                 backside: BacksideController) -> None:
         self.engine = engine
         self.config = config
         self.timing = timing
         self.organization = organization
         self.backside = backside
-        # Write-path admission policy; None on the default path.
-        self._admission = admission
         self.stats = CounterSet("frontside")
         # Bound handles for the per-access hot path.
-        self._accesses = self.stats.counter("accesses")
-        self._hits_result_latency = timing.hit_latency_ns
-        # All hits look alike and callers never mutate results, so one
-        # shared instance serves every hit.
-        self._hit_result = AccessResult(True, timing.hit_latency_ns)
+        self.accesses = self.stats.counter("accesses")
         self._misses = self.stats.counter("misses")
         self._coalesced = self.stats.counter("coalesced_misses")
         # Misses currently pending (page -> MissRequest) so duplicate
         # misses coalesce onto one flash read.
         self._pending: Dict[int, MissRequest] = {}
 
-    def access(self, page: int, is_write: bool = False) -> AccessResult:
-        """Probe the cache for one request from the on-chip hierarchy.
+    def miss(self, page: int, is_write: bool = False) -> AccessResult:
+        """The miss arm of an access whose tag probe failed.
 
-        Synchronous decision: hits return immediately with the full
-        hit latency; misses return the miss-signal latency plus a
-        completion signal that fires when the refill lands.
+        Returns the miss-signal latency plus a completion signal that
+        fires when the refill lands: a duplicate miss coalesces onto
+        the pending refill of its page, a new one hands a
+        :class:`MissRequest` to the BC queue.
         """
-        self._accesses.incr()
-        admission = self._admission
-        if admission is not None:
-            if is_write:
-                # Application stores, window-scoped later by the GC
-                # baselines; on the flash stats so they reach results.
-                self.backside.flash.stats.add("app_writes")
-                if admission.propagate_writes:
-                    self.backside.write_through(page)
-            else:
-                admission.observe_read(page)
-        if self.organization.lookup(page, is_write):
-            return self._hit_result
-
         pending = self._pending.get(page)
         if pending is not None:
             pending.coalesced += 1
@@ -467,16 +452,16 @@ class FrontsideController:
                    stop: Optional[int] = None) -> int:
         """Vector-backend batch probe: leading hits of a planned run.
 
-        Applies the exact side effects :meth:`access` would for each
-        leading hit — FC access counter plus the organization's
+        Applies the exact side effects ``DramCache.access`` would for
+        each leading hit — FC access counter plus the organization's
         lookup effects — and stops *before* the first non-hit, whose
         access (miss counters, coalescing, MSR/BC machinery) the
-        caller replays through the scalar :meth:`access`.  Returns the
-        number of leading hits.
+        caller replays through the scalar ``DramCache.access``.
+        Returns the number of leading hits.
         """
         hits = self.organization.lookup_many(pages, writes, start, stop)
         if hits:
-            self._accesses.add(hits)
+            self.accesses.add(hits)
         return hits
 
     def _blocking_put(self, request: MissRequest):

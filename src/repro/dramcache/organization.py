@@ -103,6 +103,9 @@ class DramCacheOrganization:
         self._clock = 0  # LRU timestamp source
         self.stats = CounterSet("dram-cache-org")
         self._hits = self.stats.counter("hits")
+        # The hit counter's value cell for lookup(), bound at the
+        # first hit so the key stays absent until then.
+        self._hit_cell: Optional[List[float]] = None
         self._misses = self.stats.counter("misses")
 
     # -- indexing -------------------------------------------------------------
@@ -129,7 +132,10 @@ class DramCacheOrganization:
             way.access_count += 1
             if is_write:
                 way.dirty = True
-            self._hits.incr()
+            cell = self._hit_cell
+            if cell is None:
+                cell = self._hit_cell = self._hits.cell()
+            cell[0] += 1.0
             return True
         self._misses.incr()
         return False

@@ -9,28 +9,26 @@ Times are floats in nanoseconds (see :mod:`repro.units`).  Ties are
 broken by insertion order, which makes runs fully deterministic for a
 given seed.
 
-The hot loop is tuned for CPython (DESIGN.md §4c): fired events are
-recycled through a free list instead of being reallocated, ``run``
-binds ``heappop``/callback plumbing to locals, the heap holds
-``(time, seq, event)`` tuples so sift comparisons run at C speed
-(``seq`` is unique, so the tuple order never consults the event), and
-the heap is compacted in place when cancelled entries outnumber live
-ones.  None of this changes semantics — pop order is the same
-``(time, seq)`` total order the kernel has always used.
+The hot loop is tuned for CPython (DESIGN.md §4c).  Heap entries are
+``(time, seq, target, value)`` tuples, so sift comparisons run at C
+speed (``seq`` is unique, so the tuple order never consults the
+target).  ``target`` is either an :class:`Event` -- a cancellable
+callback from :meth:`Engine.schedule` -- or anything with a
+``_resume(value)`` method (a process, a signal observer), which a
+wakeup pushes bare, with no ``Event`` allocated.  The heap is
+compacted in place when cancelled entries outnumber live ones.  None
+of this changes semantics -- pop order is the same ``(time, seq)``
+total order the kernel has always used.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 Callback = Callable[..., None]
-
-# Free-list bound: enough to absorb the steady-state churn of a large
-# run without pinning an unbounded amount of dead-event memory.
-_MAX_POOL = 4096
 
 # Compaction triggers when the queue holds more cancelled than live
 # entries; tiny queues are never worth rebuilding.
@@ -57,10 +55,10 @@ class Event:
     that has already executed is marked ``fired``; cancelling it
     afterwards is a protocol error.
 
-    An :class:`Event` reference is only meaningful until the event
-    fires or is cancelled — the kernel recycles dead events through a
-    free list, so holding a handle past that point and cancelling it
-    later is a protocol error the kernel can no longer always detect.
+    Every :meth:`~Engine.schedule` call returns a fresh object, so a
+    handle keeps naming its own event for as long as it is held:
+    cancelling a handle whose event already fired or was cancelled is
+    always detected, and can never hit an unrelated later event.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired")
@@ -72,11 +70,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else (" fired" if self.fired else "")
@@ -98,12 +91,10 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
         self._running = False
-        self._live_events = 0
         self._cancelled_in_queue = 0
-        self._pool: List[Event] = []
         # Kernel health/throughput telemetry (repro.perf reads these).
         self.events_executed = 0
         self.compactions = 0
@@ -121,25 +112,7 @@ class Engine:
         """Run ``callback(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Body of schedule_at, inlined: this is the most frequent entry
-        # point into the kernel and the extra call frame shows up.
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, (time, seq, event))
-        self._live_events += 1
-        return event
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute time ``time``."""
@@ -149,28 +122,27 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, (time, seq, event))
-        self._live_events += 1
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event, None))
         return event
+
+    def wake(self, target: Any, delay: float, value: Any = None) -> None:
+        """Call ``target._resume(value)`` after ``delay`` nanoseconds.
+
+        The process layer's wakeup: one bare heap entry, no
+        :class:`Event`, and so nothing to cancel.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self._now + delay, seq, target, value))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.
 
         Cancelling twice is an error, and so is cancelling an event
-        that already executed: the event was popped from the heap and
-        its live-count slot reclaimed, so decrementing again would
-        corrupt :attr:`pending_events`.
+        that already executed.
         """
         if event.fired:
             raise SimulationError(
@@ -181,7 +153,6 @@ class Engine:
         event.cancelled = True
         event.callback = None
         event.args = ()
-        self._live_events -= 1
         self._cancelled_in_queue += 1
         if (self._cancelled_in_queue * 2 > len(self._queue)
                 and len(self._queue) >= _MIN_COMPACT_QUEUE):
@@ -194,20 +165,14 @@ class Engine:
         Fig. 10 load ladder) would otherwise grow the heap without
         bound and pay ``log``-of-garbage on every push/pop.  Rebuilding
         preserves pop order exactly: ``(time, seq)`` is a total order,
-        so the filtered heap yields the same sequence of live events.
+        so the filtered heap yields the same sequence of live entries.
 
         The list object is mutated in place (slice assignment) because
         ``run`` holds a local reference to it while executing.
         """
         queue = self._queue
-        pool = self._pool
-        live = [entry for entry in queue if not entry[2].cancelled]
-        if len(pool) < _MAX_POOL:
-            dead = (entry[2] for entry in queue if entry[2].cancelled)
-            pool.extend(
-                event for event, _ in zip(dead, range(_MAX_POOL - len(pool)))
-            )
-        queue[:] = live
+        queue[:] = [entry for entry in queue
+                    if type(entry[2]) is not Event or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
@@ -215,20 +180,21 @@ class Engine:
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none left."""
+        """Execute the next pending entry.  Returns False if none left."""
         while self._queue:
-            time, _seq, event = heapq.heappop(self._queue)
-            if event.cancelled:
+            time, _seq, target, value = heapq.heappop(self._queue)
+            if type(target) is Event and target.cancelled:
                 self._cancelled_in_queue -= 1
-                self._recycle(event)
                 continue
-            self._live_events -= 1
-            event.fired = True
             self._now = time
             self.events_executed += 1
             global _total_events
             _total_events += 1
-            event.callback(*event.args)
+            if type(target) is Event:
+                target.fired = True
+                target.callback(*target.args)
+            else:
+                target._resume(value)
             return True
         return False
 
@@ -243,11 +209,11 @@ class Engine:
         self._running = True
         # Local bindings: attribute lookups cost on every iteration of
         # the hottest loop in the simulator.  ``queue`` stays valid
-        # across callbacks because schedule/compact mutate the same
-        # list object in place.
+        # across callbacks because pushes and compaction mutate the
+        # same list object in place.
         queue = self._queue
-        pool = self._pool
         heappop = heapq.heappop
+        event_type = Event
         executed = 0
         # One float compare per iteration instead of a None test plus
         # a compare; event times are always finite.
@@ -258,25 +224,19 @@ class Engine:
                 if entry[0] > horizon:
                     break
                 heappop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    if len(pool) < _MAX_POOL:
-                        pool.append(event)
-                    continue
-                self._live_events -= 1
-                event.fired = True
-                self._now = entry[0]
-                executed += 1
-                callback = event.callback
-                args = event.args
-                # Release payload references early; the Event object
-                # itself parks on the free list for reuse.
-                event.callback = None
-                event.args = ()
-                if len(pool) < _MAX_POOL:
-                    pool.append(event)
-                callback(*args)
+                target = entry[2]
+                if type(target) is event_type:
+                    if target.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    target.fired = True
+                    self._now = entry[0]
+                    executed += 1
+                    target.callback(*target.args)
+                else:
+                    self._now = entry[0]
+                    executed += 1
+                    target._resume(entry[3])
             if until is not None and self._now < until:
                 self._now = until
         finally:
@@ -310,17 +270,10 @@ class Engine:
         global _total_events
         _total_events += events
 
-    def _recycle(self, event: Event) -> None:
-        """Park a dead event on the free list (bounded)."""
-        event.callback = None
-        event.args = ()
-        if len(self._pool) < _MAX_POOL:
-            self._pool.append(event)
-
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
-        return self._live_events
+        """Number of live (non-cancelled) entries in the queue."""
+        return len(self._queue) - self._cancelled_in_queue
 
     @property
     def queue_length(self) -> int:

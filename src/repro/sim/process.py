@@ -14,6 +14,7 @@ the library has no external simulation dependency.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, List, Optional, Union
 
 from repro.errors import SimulationError
@@ -49,11 +50,11 @@ class Signal:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            self.engine.schedule(0.0, process._resume, value)
+            self.engine.wake(process, 0.0, value)
 
     def _add_waiter(self, process: "Process") -> None:
         if self.fired:
-            self.engine.schedule(0.0, process._resume, self.value)
+            self.engine.wake(process, 0.0, self.value)
         else:
             self._waiters.append(process)
 
@@ -74,7 +75,7 @@ class Process:
         self.finished = False
         self.result: Any = None
         self._done_signal: Optional[Signal] = None
-        engine.schedule(0.0, self._resume, None)
+        engine.wake(self, 0.0)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -87,15 +88,19 @@ class Process:
             self._finish(stop.value)
             return
         # Fast path: the overwhelmingly common yield is a plain float
-        # sleep; dispatch it here without the _wait_on call frame.
-        if type(target) is float:
-            self.engine.schedule(target, self._resume, None)
+        # sleep; push this process's own heap entry here, without the
+        # Engine.wake frame (which also rejects negative delays).
+        if type(target) is float and target >= 0.0:
+            engine = self.engine
+            seq = engine._seq
+            engine._seq = seq + 1
+            heappush(engine._queue, (engine._now + target, seq, self, None))
         else:
             self._wait_on(target)
 
     def _wait_on(self, target: Yieldable) -> None:
         if isinstance(target, (int, float)):
-            self.engine.schedule(float(target), self._resume, None)
+            self.engine.wake(self, float(target))
         elif isinstance(target, Signal):
             target._add_waiter(self)
         elif isinstance(target, Process):
@@ -113,7 +118,7 @@ class Process:
 
     def _add_join_waiter(self, process: "Process") -> None:
         if self.finished:
-            self.engine.schedule(0.0, process._resume, self.result)
+            self.engine.wake(process, 0.0, self.result)
             return
         if self._done_signal is None:
             self._done_signal = Signal(self.engine, f"join:{self.name}")

@@ -36,6 +36,16 @@ class Counter:
         self._cell = cell
         return cell
 
+    def cell(self) -> List[float]:
+        """The shared one-element value cell, created if absent.
+
+        Per-hit paths bump ``cell[0]`` directly instead of calling
+        :meth:`incr`.  Take the cell at the first increment, not
+        before: creating it adds the key to ``as_dict()``.
+        """
+        cell = self._cell
+        return cell if cell is not None else self._bind()
+
     def incr(self) -> None:
         """Add 1 (the per-event fast path: no checks, no hashing)."""
         cell = self._cell

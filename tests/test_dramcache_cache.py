@@ -5,14 +5,16 @@ import dataclasses
 import pytest
 
 from repro.config import DramCacheConfig, FlashConfig
+from repro.config.system import WritesConfig
 from repro.dramcache import DramCache, build_timing
 from repro.flash import FlashDevice
 from repro.sim import Engine, spawn
 from repro.units import US
+from repro.writes import make_admission
 
 
 def make_cache(cache_pages=64, assoc=4, dataset_pages=512, msr_entries=32,
-               **cache_overrides):
+               admission=None, **cache_overrides):
     engine = Engine()
     flash_config = FlashConfig(
         channels=2, dies_per_channel=1, planes_per_die=2,
@@ -23,7 +25,8 @@ def make_cache(cache_pages=64, assoc=4, dataset_pages=512, msr_entries=32,
         DramCacheConfig(associativity=assoc, msr_entries=msr_entries),
         **cache_overrides,
     )
-    cache = DramCache(engine, cache_config, cache_pages, flash)
+    cache = DramCache(engine, cache_config, cache_pages, flash,
+                      admission=admission)
     return engine, cache, flash
 
 
@@ -172,3 +175,33 @@ def test_flat_partition_latency_is_one_dram_access():
         dataclasses.replace(cache.config, way_prediction=False)
     )
     assert flat < serialized.hit_latency_ns
+
+
+@pytest.mark.parametrize("policy", [None, "write-through", "readiness"])
+def test_access_count_splits_into_hits_misses_and_coalesced(policy):
+    admission = None if policy is None else make_admission(
+        WritesConfig(enabled=True, admission_policy=policy))
+    engine, cache, flash = make_cache(admission=admission)
+    # Counters appear only once incremented.
+    assert "accesses" not in cache.frontside.stats.as_dict()
+    assert "hits" not in cache.organization.stats.as_dict()
+    cache.warm(range(16))
+
+    def thread(page, is_write):
+        result = cache.access(page, is_write)
+        if not result.hit:
+            yield result.completion
+            assert cache.access(page, is_write).hit
+
+    for page, is_write in [(3, False), (5, True), (3, False), (100, False),
+                           (100, True), (100, False), (7, True),
+                           (200, True), (200, False)]:
+        spawn(engine, thread(page, is_write))
+    engine.run()
+    fc = cache.frontside.stats
+    org = cache.organization.stats
+    assert fc["misses"] == 2
+    assert fc["coalesced_misses"] == 3
+    assert fc["accesses"] == org["hits"] + fc["misses"] + fc["coalesced_misses"]
+    assert list(fc.as_dict())[:3] == ["accesses", "misses",
+                                      "coalesced_misses"]

@@ -80,8 +80,8 @@ def test_cancel_after_fire_raises():
 
 
 def test_cancel_after_fire_does_not_corrupt_pending_count():
-    # The old accounting decremented _live_events for an event that had
-    # already been popped and executed, driving pending_events negative.
+    # A rejected cancel of an executed event must not touch the
+    # accounting behind pending_events (it once drove it negative).
     engine = Engine()
     event = engine.schedule(1.0, lambda: None)
     engine.run()
@@ -91,6 +91,20 @@ def test_cancel_after_fire_does_not_corrupt_pending_count():
     assert engine.pending_events == 0
     engine.schedule(1.0, lambda: None)
     assert engine.pending_events == 1
+
+
+def test_stale_handle_cannot_cancel_a_later_event():
+    # A fired event's handle must keep naming that event: cancelling it
+    # after another event was scheduled may not hit the new one.
+    engine = Engine()
+    fired = []
+    h1 = engine.schedule(1, fired.append, "a")
+    engine.run()
+    engine.schedule(1, fired.append, "b")
+    with pytest.raises(SimulationError):
+        engine.cancel(h1)
+    engine.run()
+    assert fired == ["a", "b"]
 
 
 def test_cancel_after_step_raises():

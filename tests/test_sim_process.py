@@ -131,3 +131,15 @@ def test_yielding_garbage_raises():
     spawn(engine, bad())
     with pytest.raises(SimulationError):
         engine.run()
+
+
+@pytest.mark.parametrize("delay", [-1.0, -1])
+def test_sleeping_into_the_past_raises(delay):
+    engine = Engine()
+
+    def bad():
+        yield delay
+
+    spawn(engine, bad())
+    with pytest.raises(SimulationError):
+        engine.run()

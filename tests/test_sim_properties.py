@@ -3,7 +3,36 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, Server, Store, spawn
+from repro.sim import Engine, Server, Signal, Store, spawn
+
+# Small integral times so that ties, which only creation order breaks,
+# are common.
+_times = st.integers(0, 12).map(float)
+
+
+class _Ledger:
+    """Reference model of the kernel's queue: every heap entry a test
+    process or callback causes is logged, with its due time, at the
+    moment the kernel pushes it, and every execution is logged by the
+    entry's creation index."""
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+        self.created = []      # due time, indexed by creation order
+        self.cancelled = set()
+        self.executed = []     # creation indexes, in execution order
+
+    def create(self, delay: float) -> int:
+        self.created.append(self.engine.now + delay)
+        return len(self.created) - 1
+
+    def expected(self, until: float):
+        live = [(due, index) for index, due in enumerate(self.created)
+                if index not in self.cancelled and due <= until]
+        return [index for _due, index in sorted(live)]
+
+    def live_entries(self) -> int:
+        return len(self.created) - len(self.cancelled) - len(self.executed)
 
 
 class TestEngineProperties:
@@ -55,6 +84,79 @@ class TestEngineProperties:
         spawn(engine, sleeper())
         engine.run()
         assert done[0] == sum(sleeps)
+
+    @given(callbacks=st.lists(st.tuples(_times, st.booleans()), max_size=10),
+           sleepers=st.lists(st.lists(_times, max_size=4), max_size=5),
+           waiters=st.lists(st.tuples(st.integers(0, 1), _times),
+                            max_size=6),
+           fires=st.lists(st.one_of(st.none(), _times), min_size=2,
+                          max_size=2),
+           until=_times)
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_entries_pop_in_time_then_creation_order(
+            self, callbacks, sleepers, waiters, fires, until):
+        """Process sleeps, signal wakeups and cancellable callbacks
+        share one (time, creation order) total order."""
+        engine = Engine()
+        ledger = _Ledger(engine)
+        signals = [Signal(engine, f"s{index}") for index in range(2)]
+        # Creation indexes of the wakeups each fire pushes, by waiter.
+        parked = [[], []]
+
+        def sleeper(start, gaps):
+            ledger.executed.append(start)
+            for gap in gaps:
+                index = ledger.create(gap)
+                yield gap
+                ledger.executed.append(index)
+
+        def waiter(start, which, gap):
+            ledger.executed.append(start)
+            index = ledger.create(gap)
+            yield gap
+            ledger.executed.append(index)
+            signal = signals[which]
+            slot = []
+            if signal.fired:
+                slot.append(ledger.create(0.0))
+            else:
+                parked[which].append(slot)
+            yield signal
+            ledger.executed.append(slot[0])
+
+        def fire(own, which):
+            ledger.executed.append(own)
+            for slot in parked[which]:
+                slot.append(ledger.create(0.0))
+            parked[which] = []
+            signals[which].fire(which)
+
+        handles = []
+        for delay, cancel in callbacks:
+            index = ledger.create(delay)
+            handles.append((engine.schedule(delay, ledger.executed.append,
+                                            index), index, cancel))
+        for gaps in sleepers:
+            spawn(engine, sleeper(ledger.create(0.0), gaps))
+        for which, gap in waiters:
+            spawn(engine, waiter(ledger.create(0.0), which, gap))
+        for which, when in enumerate(fires):
+            if when is not None:
+                index = ledger.create(when)
+                engine.schedule(when, fire, index, which)
+        for handle, index, cancel in handles:
+            if cancel:
+                engine.cancel(handle)
+                ledger.cancelled.add(index)
+
+        engine.run(until=until)
+        assert ledger.executed == ledger.expected(until)
+        assert engine.events_executed == len(ledger.executed)
+        assert engine.pending_events == ledger.live_entries()
+        engine.run()
+        assert ledger.executed == ledger.expected(float("inf"))
+        assert engine.events_executed == len(ledger.executed)
+        assert engine.pending_events == 0
 
 
 class TestServerProperties:
