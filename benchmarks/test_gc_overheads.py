@@ -16,3 +16,5 @@ def test_gc_overheads(benchmark, harness_scale):
     assert rows[1024] <= 0.01
     # Blocking scales inversely with capacity (more planes).
     assert rows[128] > rows[256] > rows[512] > rows[1024]
+    # The stress device must actually block reads behind GC.
+    assert result.measurements["stress_blocked_fraction"] > 0.0

@@ -166,11 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="timed runs per backend; the best "
                                     "wall is reported (default 3)")
     kernel_parser.add_argument("--shape", action="append", default=None,
-                               choices=("fused", "flash-sync",
-                                        "open-loop", "multi-core"),
+                               choices=("fused", "open-loop",
+                                        "multi-core"),
                                help="bench only this run shape (repeat "
                                     "the flag for several; default: all "
-                                    "four shapes)")
+                                    "three shapes)")
     kernel_parser.add_argument("--json", dest="json_out", default=None,
                                metavar="PATH",
                                help="also write the bench as JSON "

@@ -180,8 +180,8 @@ class Runner:
         self._rng_random = self._rng.random
         # Observability: bind the active tracer once (None = disabled).
         # Hot paths branch on this local/attribute, never on the
-        # module flag, and sampled jobs take duplicated *traced* loop
-        # bodies so the untraced per-step path stays branch-free.
+        # module flag; a sampled job binds its trace record at dispatch
+        # and untraced runs pay one ``record is None`` test per hit.
         self._tracer = _tracer_active()
         self._telemetry: Optional[TelemetrySampler] = None
         # Per-run invariants bound once for the per-access fast paths.
@@ -534,11 +534,7 @@ class Runner:
         if mode is PagingMode.DRAM_ONLY:
             yield from self._run_to_completion_loop(core_id, with_cache=False)
         elif mode is PagingMode.FLASH_SYNC:
-            if self._vector_kind == "job-epoch":
-                yield from self._vector_cache_loop(core_id)
-            else:
-                yield from self._run_to_completion_loop(core_id,
-                                                        with_cache=True)
+            yield from self._run_to_completion_loop(core_id, with_cache=True)
         else:
             yield from self._multiplexed_loop(core_id)
 
@@ -552,9 +548,9 @@ class Runner:
         # inlined so _walk_miss_ns only runs on actual TLB misses.
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
         cache_access = cache.access if cache is not None else None
         tracer = self._tracer
+        track = f"core{core_id}"
 
         while True:
             job = self._next_job(core_id)
@@ -564,15 +560,16 @@ class Runner:
                 yield signal
                 continue
             job.started_at = engine.now
+            # A sampled job binds its trace record (None otherwise) and
+            # a walk that also charges the record (DESIGN.md §4d).
+            record = None
+            walk_miss = self._walk_miss_ns
             if tracer is not None:
                 record = tracer.start_request(job, engine.now)
                 if record is not None:
-                    # Sampled job: run the instrumented twin of the
-                    # loop below (identical yields and RNG draws).
-                    yield from self._traced_rtc_job(
-                        core_id, job, record, with_cache
-                    )
-                    continue
+                    walk_miss = self._traced_walk(record)
+                    tracer.push(track, f"{job.workload_name}#{job.job_id}",
+                                engine.now)
             accumulated = 0.0
             for compute_ns, page, is_write in job.steps:
                 accumulated += compute_ns + (
@@ -581,21 +578,35 @@ class Runner:
                 self._accesses += 1
                 if not with_cache:
                     accumulated += flat
+                    if record is not None:
+                        record.compute += compute_ns
+                        record.dram_hit += flat
                 else:
                     result = cache_access(page, is_write)
                     if result.hit:
                         accumulated += result.latency_ns
+                        if record is not None:
+                            record.compute += compute_ns
+                            record.dram_hit += result.latency_ns
                     else:
                         # Flash-Sync: the core waits for the refill.
                         self._misses += 1
                         job.misses += 1
                         yield accumulated
                         self._busy_ns += accumulated
-                        accumulated = 0.0
+                        wait_start = engine.now
+                        if record is not None:
+                            record.compute += compute_ns
+                            tracer.instant(track, "miss", wait_start,
+                                           {"page": page})
                         yield result.completion
-                        accumulated += yield from self._replay_until_hit(
+                        accumulated = yield from self._replay_until_hit(
                             page, is_write
                         )
+                        if record is not None:
+                            self._charge_sync_wait(record, core_id,
+                                                   wait_start, accumulated,
+                                                   page)
                         self.stats.add("sync_miss_waits")
                 if accumulated >= TIME_QUANTUM_NS:
                     yield accumulated
@@ -604,185 +615,8 @@ class Runner:
             if accumulated > 0.0:
                 yield accumulated
                 self._busy_ns += accumulated
-            self._finish_job(job)
-
-    def _traced_rtc_job(self, core_id: int, job: Job, record,
-                        with_cache: bool):
-        """Instrumented twin of one job iteration of
-        :meth:`_run_to_completion_loop`.
-
-        Must stay yield-for-yield and RNG-draw-for-draw identical to
-        the untraced body — the golden determinism test pins this.  The
-        only additions are component charges on ``record`` and track
-        events (both read-only with respect to simulation state).
-        """
-        engine = self.machine.engine
-        flat = self.machine.flat_dram_latency_ns
-        cache = self.machine.dram_cache
-        rng_random = self._rng_random
-        tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
-        cache_access = cache.access if cache is not None else None
-        tracer = self._tracer
-        track = f"core{core_id}"
-
-        tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
-        accumulated = 0.0
-        for compute_ns, page, is_write in job.steps:
-            walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(page))
-            accumulated += compute_ns + walk_ns
-            record.compute += compute_ns
-            record.tlb_walk += walk_ns
-            self._accesses += 1
-            if not with_cache:
-                accumulated += flat
-                record.dram_hit += flat
-            else:
-                result = cache_access(page, is_write)
-                if result.hit:
-                    accumulated += result.latency_ns
-                    record.dram_hit += result.latency_ns
-                else:
-                    # Flash-Sync: the core waits for the refill.
-                    self._misses += 1
-                    job.misses += 1
-                    yield accumulated
-                    self._busy_ns += accumulated
-                    accumulated = 0.0
-                    wait_start = engine.now
-                    tracer.instant(track, "miss", wait_start,
-                                   {"page": page})
-                    yield result.completion
-                    replay_ns = yield from self._replay_until_hit(
-                        page, is_write
-                    )
-                    record.sync_wait += engine.now - wait_start
-                    record.add_span("sync_wait", wait_start, engine.now)
-                    tracer.complete(track, "sync_wait", wait_start,
-                                    engine.now, {"page": page})
-                    accumulated += replay_ns
-                    record.dram_hit += replay_ns
-                    self.stats.add("sync_miss_waits")
-            if accumulated >= TIME_QUANTUM_NS:
-                yield accumulated
-                self._busy_ns += accumulated
-                accumulated = 0.0
-        if accumulated > 0.0:
-            yield accumulated
-            self._busy_ns += accumulated
-        tracer.pop(track, engine.now)
-        self._finish_job(job)
-
-    # -- Flash-Sync vector twin: batched hit runs, scalar misses ---------------
-
-    def _vector_cache_loop(self, core_id: int):
-        """Vector-backend twin of the Flash-Sync arm of
-        :meth:`_run_to_completion_loop` (DESIGN.md §4h).
-
-        Jobs are planned as columns up front (legal on the vetted
-        single-core closed-loop shape: nothing else consumes the
-        workload/TLB RNG streams between steps), then executed one
-        quantum burst at a time: the burst horizon is precomputed
-        under the all-hit assumption with the exact scalar adds, the
-        burst's tag probes go through
-        :meth:`~repro.dramcache.cache.DramCache.access_run` as one
-        batch, and the first missing tag drops to the *unmodified*
-        scalar miss machinery (FC -> BC -> flash -> replay).  Probing
-        never reaches past the current burst, so a window close
-        truncates with exactly the scalar's probe/counter state.
-        """
-        engine = self.machine.engine
-        cache = self.machine.dram_cache
-        cache_access = cache.access
-        access_run = cache.access_run
-        hit_ns = cache.hit_latency_ns
-        tlb_p = self._tlb_miss_probability
-        walk_ns = self._flat_walk_ns
-        quantum = TIME_QUANTUM_NS
-        plan = self.workload.plan_steps
-        self._vector_tlb_rng = _vector.BatchedRandom(self._rng)
-        rng_take = self._vector_tlb_rng.take
-        tlb_counter = self._tlb_miss_count
-        vstats = _vector.run_stats()
-        vstats["job_epoch_runs"] += 1
-
-        while True:
-            job = self._next_job(core_id)
-            if job is None:
-                # Open-loop idle: park exactly like the scalar loop —
-                # no event for the park itself, one for the wake.
-                signal = Signal(engine, f"idle{core_id}")
-                self._idle[core_id] = signal
-                yield signal
-                continue
-            job.started_at = engine.now
-            compute, pages, writes = plan(job)
-            num_steps = len(compute)
-            d1, miss_flags = _vector.step_deltas(
-                compute, rng_take(num_steps), tlb_p, walk_ns
-            )
-            vstats["batched_jobs"] += 1
-            vstats["batched_steps"] += num_steps
-            accumulated = 0.0
-            i = 0
-            while i < num_steps:
-                # Burst horizon under the all-hit assumption: the
-                # first step whose post-add accumulation crosses the
-                # quantum.  Same two adds per step as the scalar loop,
-                # so the boundary (and its float value) match bit-wise
-                # whenever the assumption holds.
-                j = i
-                probe_acc = accumulated
-                while j < num_steps:
-                    probe_acc += d1[j]
-                    probe_acc += hit_ns
-                    j += 1
-                    if probe_acc >= quantum:
-                        break
-                hits = access_run(pages, writes, i, j)
-                vstats["hit_run_probes"] += hits
-                stop = i + hits
-                while i < stop:
-                    accumulated += d1[i]
-                    self._accesses += 1
-                    if miss_flags[i]:
-                        tlb_counter.incr()
-                    accumulated += hit_ns
-                    i += 1
-                    if accumulated >= quantum:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-                if stop < j:
-                    # The batched probe stopped on a missing tag:
-                    # execute that one step through the scalar path.
-                    accumulated += d1[i]
-                    self._accesses += 1
-                    if miss_flags[i]:
-                        tlb_counter.incr()
-                    result = cache_access(pages[i], writes[i])
-                    if result.hit:  # pragma: no cover - no installer
-                        accumulated += result.latency_ns  # ran between
-                    else:
-                        self._misses += 1
-                        job.misses += 1
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-                        yield result.completion
-                        accumulated += yield from self._replay_until_hit(
-                            pages[i], writes[i]
-                        )
-                        self.stats.add("sync_miss_waits")
-                    i += 1
-                    if accumulated >= quantum:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-            if accumulated > 0.0:
-                yield accumulated
-                self._busy_ns += accumulated
+            if record is not None:
+                tracer.pop(track, engine.now)
             self._finish_job(job)
 
     # -- AstriFlash and OS-Swap: switch-on-stall multiplexing --------------------
@@ -862,15 +696,8 @@ class Runner:
         return self.machine.flash.average_read_latency_ns()
 
     def _run_thread(self, core_id: int, library, thread: UserThread, mode):
-        tracer = self._tracer
-        if tracer is not None:
-            record = tracer.lookup(thread.job.job_id)
-            if record is not None:
-                yield from self._run_thread_traced(
-                    core_id, library, thread, mode, record
-                )
-                return
         core = self.machine.cores[core_id]
+        engine = self.machine.engine
         accumulated = 0.0
         # Per-step locals: this loop runs once per memory access on the
         # multiplexed modes.  The hit paths are handled inline so the
@@ -883,10 +710,23 @@ class Runner:
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
         quantum = TIME_QUANTUM_NS
+        job = thread.job
+        # A sampled job binds its trace record (None otherwise), a walk
+        # that also charges the record, and a core-track slice spanning
+        # this on-core episode (dispatch to park/finish).
+        tracer = self._tracer
+        record = None
+        if tracer is not None:
+            record = tracer.lookup(job.job_id)
+            if record is not None:
+                walk_miss = self._traced_walk(record)
+                track = f"core{core_id}"
+                tracer.push(track, f"{job.workload_name}#{job.job_id}",
+                            engine.now)
         # The job's step iterator is bound once per burst.  A parked
         # thread resumes with the step that missed (replayed after the
         # refill); only a park writes the pending step back.
-        steps = thread.job.steps
+        steps = job.steps
         step = thread.current_step
         thread.current_step = None
 
@@ -897,8 +737,9 @@ class Runner:
                     if accumulated > 0.0:
                         yield accumulated
                         self._busy_ns += accumulated
-                    job = library.on_finish(thread)
-                    self._finish_job(job)
+                    if record is not None:
+                        tracer.pop(track, engine.now)
+                    self._finish_job(library.on_finish(thread))
                     return
             compute_ns, page, is_write = step
 
@@ -911,22 +752,34 @@ class Runner:
                 result = cache_access(page, is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
+                    if record is not None:
+                        record.compute += compute_ns
+                        record.dram_hit += result.latency_ns
                 else:
+                    if record is not None:
+                        record.compute += compute_ns
                     outcome = yield from self._astriflash_miss(
                         core_id, library, thread, page, is_write,
-                        accumulated, result
+                        accumulated, result, record
                     )
             else:
                 if pager_access(page, is_write):
                     outcome = accumulated + flat
+                    if record is not None:
+                        record.compute += compute_ns
+                        record.dram_hit += flat
                 else:
+                    if record is not None:
+                        record.compute += compute_ns
                     outcome = yield from self._os_swap_fault(
                         core_id, library, thread, page, is_write,
-                        accumulated
+                        accumulated, record
                     )
             if outcome is None:
                 # Thread parked on the miss: back to the scheduler.
                 thread.current_step = step
+                if record is not None:
+                    tracer.pop(track, engine.now)
                 return
             accumulated = outcome
             step = None
@@ -935,86 +788,6 @@ class Runner:
                 thread.forward_progress = False
                 core.registers.retire_resuming_instruction()
             if accumulated >= quantum:
-                yield accumulated
-                self._busy_ns += accumulated
-                accumulated = 0.0
-
-    def _run_thread_traced(self, core_id: int, library, thread: UserThread,
-                           mode, record):
-        """Instrumented twin of :meth:`_run_thread` for sampled jobs.
-
-        Yield-for-yield and draw-for-draw identical to the untraced
-        body; adds component charges plus a core-track slice spanning
-        this on-core episode (dispatch to park/finish).
-        """
-        core = self.machine.cores[core_id]
-        engine = self.machine.engine
-        tracer = self._tracer
-        accumulated = 0.0
-        astriflash = mode is PagingMode.ASTRIFLASH
-        cache = self.machine.dram_cache if astriflash else None
-        pager = None if astriflash else self.machine.pager
-        flat = self.machine.flat_dram_latency_ns
-        rng_random = self._rng_random
-        tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
-        job = thread.job
-        steps = job.steps
-        step = thread.current_step
-        thread.current_step = None
-        track = f"core{core_id}"
-        tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
-
-        while True:
-            if step is None:
-                step = next(steps, None)
-                if step is None:
-                    if accumulated > 0.0:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                    tracer.pop(track, engine.now)
-                    finished = library.on_finish(thread)
-                    self._finish_job(finished)
-                    return
-            compute_ns, page, is_write = step
-
-            walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(page))
-            accumulated += compute_ns + walk_ns
-            record.compute += compute_ns
-            record.tlb_walk += walk_ns
-            self._accesses += 1
-
-            if astriflash:
-                result = cache.access(page, is_write)
-                if result.hit:
-                    outcome = accumulated + result.latency_ns
-                    record.dram_hit += result.latency_ns
-                else:
-                    outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, page, is_write,
-                        accumulated, result, record
-                    )
-            else:
-                if pager.access(page, is_write):
-                    outcome = accumulated + flat
-                    record.dram_hit += flat
-                else:
-                    outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, page, is_write,
-                        accumulated, record
-                    )
-            if outcome is None:
-                # Thread parked on the miss: back to the scheduler.
-                thread.current_step = step
-                tracer.pop(track, engine.now)
-                return
-            accumulated = outcome
-            step = None
-            if thread.forward_progress:
-                thread.forward_progress = False
-                core.registers.retire_resuming_instruction()
-            if accumulated >= TIME_QUANTUM_NS:
                 yield accumulated
                 self._busy_ns += accumulated
                 accumulated = 0.0
@@ -1163,6 +936,18 @@ class Runner:
         observe(done, self._make_ready_callback(core_id, library, thread))
         return None
 
+    def _traced_walk(self, record):
+        """:meth:`_walk_miss_ns` that also charges the walk to a
+        sampled job's ``tlb_walk`` component."""
+        walk_miss = self._walk_miss_ns
+
+        def walk(data_page: int) -> float:
+            walk_ns = walk_miss(data_page)
+            record.tlb_walk += walk_ns
+            return walk_ns
+
+        return walk
+
     def _charge_sync_wait(self, record, core_id: int, wait_start: float,
                           replay_ns: float, page: int) -> None:
         """Attribute a synchronous refill wait ending now: the blocked
@@ -1197,24 +982,15 @@ class Runner:
 
     # -- page-table walks -----------------------------------------------------------
 
-    def _walk_cost(self, data_page: int) -> float:
-        """TLB-miss handling cost for this access, if one occurs.
-
-        With DRAM partitioning (and for all non-AstriFlash modes) the
-        walk is served from flat DRAM.  Under `noDP` the PT leaf page
-        goes through the DRAM cache and the walk blocks synchronously on
-        a flash fetch when it misses (Sec. IV-A).
-        """
-        if self._rng_random() >= self._tlb_miss_probability:
-            return 0.0
-        return self._walk_miss_ns(data_page)
-
     def _walk_miss_ns(self, data_page: int) -> float:
-        """Walk cost once the TLB-miss draw has already lost.
+        """TLB-miss handling cost, once the TLB-miss draw has lost.
 
-        Split from :meth:`_walk_cost` so the inner loops can inline the
-        (overwhelmingly common) TLB-hit draw and only pay a call frame
-        on actual misses.
+        The loops inline the (overwhelmingly common) TLB-hit draw and
+        only pay this call frame on actual misses.  With DRAM
+        partitioning (and for all non-AstriFlash modes) the walk is
+        served from flat DRAM.  Under `noDP` the PT leaf page goes
+        through the DRAM cache and the walk blocks synchronously on a
+        flash fetch when it misses (Sec. IV-A).
         """
         self._tlb_miss_count.incr()
         if not self.machine.page_tables_in_flash_space:

@@ -85,16 +85,6 @@ class DramCache:
             return self._hit_result
         return self.frontside.miss(page, is_write)
 
-    def access_run(self, pages, writes, start: int = 0,
-                   stop=None) -> int:
-        """Batched leading-hit probe (vector backend; see FC docs)."""
-        return self.frontside.access_run(pages, writes, start, stop)
-
-    @property
-    def hit_latency_ns(self) -> float:
-        """The constant in-DRAM hit latency every hit is charged."""
-        return self.timing.hit_latency_ns
-
     def flat_access_latency_ns(self) -> float:
         """Latency of a flat-partition access (page tables under
         DRAM partitioning)."""

@@ -147,42 +147,6 @@ class FlashDevice:
               name=f"flash-read:{logical_page}")
         return signal
 
-    def read_many(self, logical_pages,
-                  num_bytes: Optional[int] = None) -> List[Signal]:
-        """Issue a batch of page reads; signals in request order.
-
-        The vector backend submits each epoch's flash completions per
-        plane through this entry point: plane routing for the whole
-        batch is resolved in one vectorized FTL pass
-        (:meth:`~repro.flash.ftl.PageMappingFtl.plane_of_many`), then
-        every read runs the ordinary per-request process in submission
-        order — so a batch is event-for-event identical to the same
-        sequence of :meth:`read` calls (the per-plane FIFO servers see
-        the same arrival order, which is what keeps batching
-        bit-identical).
-        """
-        if num_bytes is None:
-            num_bytes = self.config.page_size
-        if not 0 < num_bytes <= self.config.page_size:
-            raise ConfigurationError(
-                f"read size {num_bytes} outside (0, page_size]"
-            )
-        planes = self.ftl.plane_of_many(logical_pages)
-        signals: List[Signal] = []
-        engine = self.engine
-        now = engine.now
-        for position, page in enumerate(logical_pages):
-            signal = Signal(engine, f"flash-read:{page}")
-            request = FlashRequest(FlashRequest.READ, page, now, signal)
-            request.num_bytes = num_bytes
-            request.plane_index = planes[position]
-            spawn(engine, self._read_process(request),
-                  name=f"flash-read:{page}")
-            signals.append(signal)
-        if signals:
-            self.stats.add("batched_reads", len(signals))
-        return signals
-
     def write(self, logical_page: int) -> Signal:
         """Issue a 4 KiB page program (e.g. a dirty-page writeback)."""
         signal = Signal(self.engine, f"flash-write:{logical_page}")
@@ -208,8 +172,8 @@ class FlashDevice:
         return self.channels[plane_index // planes_per_channel]
 
     def _start_request(self, request: FlashRequest) -> Server:
-        # read_many pre-routes whole batches through plane_of_many;
-        # singleton reads resolve their plane here.
+        # Writes arrive placed (the FTL picked their plane); reads
+        # resolve theirs here.
         plane_index = request.plane_index
         if plane_index is None:
             plane_index = self.ftl.plane_of(request.logical_page)

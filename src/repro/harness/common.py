@@ -82,6 +82,9 @@ class ExperimentResult:
     columns: List[str]
     rows: List[List] = field(default_factory=list)
     notes: str = ""
+    #: Named scalar results that sit outside the table (e.g. a
+    #: simulated cross-check the notes print), for tests to assert on.
+    measurements: Dict[str, float] = field(default_factory=dict)
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):

@@ -363,8 +363,8 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
 #: v2: per-entry ``fallback_reasons`` (vector->scalar fallback counts
 #: by reason) ride along with ``vector_stats``.
 #: v3: multi-shape cells — ``shapes`` holds one
-#: :class:`KernelShapeBench` per run shape (fused, flash-sync,
-#: open-loop, multi-core); the top-level ``entries`` /
+#: :class:`KernelShapeBench` per run shape (fused, open-loop,
+#: multi-core); the top-level ``entries`` /
 #: ``bit_identical`` / ``speedup`` mirror the first shape benched
 #: (``fused`` by default) for baseline compatibility.
 KERNEL_BENCH_SCHEMA_VERSION = 3
@@ -397,14 +397,13 @@ class KernelBackendEntry:
 
 #: The run shapes ``bench-kernel`` times, in bench order.  Each pins
 #: one vector loop kind: ``fused`` the DRAM-only batch loop,
-#: ``flash-sync`` the job-epoch loop, ``open-loop`` the merged
-#: arrival/execution horizon, ``multi-core`` the lockstep merged loop.
-KERNEL_BENCH_SHAPES = ("fused", "flash-sync", "open-loop", "multi-core")
+#: ``open-loop`` the merged arrival/execution horizon, ``multi-core``
+#: the lockstep merged loop.
+KERNEL_BENCH_SHAPES = ("fused", "open-loop", "multi-core")
 
 #: Shape name -> (config preset, cores, arrival process).
 _SHAPE_SETUPS = {
     "fused": ("dram-only", 1, "closed"),
-    "flash-sync": ("flash-sync", 1, "closed"),
     "open-loop": ("dram-only", 1, "poisson"),
     "multi-core": ("dram-only", 2, "closed"),
 }

@@ -16,9 +16,6 @@ the job is dispatched.  This module batches that predictable work into
 * the DRAM-only single-core measurement loop is then **fused**: bursts
   retire without touching the event heap at all, and the engine clock /
   event tally are synchronized in batches via `Engine.advance_batch`;
-* the Flash-Sync single-core loop keeps the event engine (misses run
-  the full FC→BC→flash machinery unchanged) but probes hit runs
-  through `DramCacheOrganization.lookup_many` one burst at a time;
 * **open-loop and multi-core DRAM-only** shapes run a *merged event
   horizon* (`run_merged`): a heap-free (time, seq) mirror of the
   scalar schedule interleaving per-stream arrival events (gaps
@@ -28,10 +25,10 @@ the job is dispatched.  This module batches that predictable work into
   steps are dealt from global per-stream cursors so shared-RNG draw
   order matches the scalar interleave exactly.
 
-Everything else — tracing, fault plans, finite arrival traces,
-multiplexed-burst modes, multi-core Flash-Sync — **falls back to the
-scalar path**, which remains the golden reference.  The contract is
-bit-identity: same `state_fingerprint`, same deterministic stats, same
+Everything else — tracing, finite arrival traces, Flash-Sync and the
+multiplexed-burst modes — **falls back to the scalar path**, which
+remains the golden reference.  The contract is bit-identity: same
+`state_fingerprint`, same deterministic stats, same
 `engine.events_executed`, enforced by tests/test_vector_backend.py and
 the CI perf-smoke job.
 
@@ -100,14 +97,15 @@ _STATS: Dict[str, int] = {}
 def _reset_stats() -> None:
     _STATS.update({
         "fused_runs": 0,        # DRAM-only runs on the fused loop
-        "job_epoch_runs": 0,    # Flash-Sync runs on the job-epoch loop
+        # Always 0: the Flash-Sync job-epoch loop is gone; the key stays
+        # because perfbench/rep.py still reads it.
+        "job_epoch_runs": 0,
         "open_loop_runs": 0,    # single-core open-loop merged runs
         "multi_core_runs": 0,   # multi-core merged runs (open or closed)
         "scalar_fallbacks": 0,  # vector requested but shape unsupported
         "epochs": 0,            # bursts retired without a heap pop
         "batched_jobs": 0,      # jobs planned as a block
         "batched_steps": 0,     # steps materialized through numpy
-        "hit_run_probes": 0,    # tag probes served via lookup_many
         "merged_arrivals": 0,   # arrival events on the merged horizon
     })
 
@@ -131,11 +129,6 @@ def reset_stats() -> None:
     """Zero the telemetry (test isolation)."""
     _reset_stats()
     _FALLBACK_REASONS.clear()
-
-
-def run_stats() -> Dict[str, int]:
-    """The live telemetry dict (internal: the vector loops bump it)."""
-    return _STATS
 
 
 def last_fallback_reason() -> str:
@@ -375,13 +368,12 @@ def classify_shape(mode, num_cores: int, open_loop: bool = False,
 
     Returns ``(kind, reason)`` where kind is ``"fused"`` (single-core
     closed-loop DRAM-only, no event heap), ``"open-loop"`` /
-    ``"multi-core"`` (DRAM-only merged event horizon),
-    ``"job-epoch"`` (single-core Flash-Sync, batched hit runs) or
-    ``None`` with the fallback reason.  The gates mirror DESIGN.md
-    §4h: per-event observation (tracing), per-read fault draws, a
-    finite arrival trace that ends the stream mid-window, cross-core
-    sharing of the DRAM cache/flash path, and the multiplexed-burst
-    modes keep the scalar path.
+    ``"multi-core"`` (DRAM-only merged event horizon) or ``None``
+    with the fallback reason.  The gates mirror DESIGN.md §4h:
+    per-event observation (tracing), a finite arrival trace that ends
+    the stream mid-window, and every mode with a DRAM cache or pager
+    (Flash-Sync blocks on each miss, the multiplexed modes switch per
+    burst) keep the scalar path.
 
     Pure on purpose: the sweep drivers (loadgen/chaos) call it with
     config-derived facts to report deterministic per-cell backend
@@ -402,17 +394,17 @@ def classify_shape(mode, num_cores: int, open_loop: bool = False,
             return "open-loop", ""
         return "fused", ""
     if mode is PagingMode.FLASH_SYNC:
+        # No vector loop: the core blocks on each miss, so the event
+        # engine does the work.  Faults, writes and multiple cores keep
+        # their own reason strings, which the sweep summaries print.
         if faulted:
             return None, "fault plan active (per-read outcome draws)"
         if writes_enabled:
-            # Admission hooks run per access (sketch observes, write-
-            # through spawns) — the batched hit-run probe would skip
-            # them, so the write path keeps the scalar loop.
             return None, "writes"
         if num_cores != 1:
             return None, ("multi-core flash-sync (cores share the "
                           "DRAM cache and flash path)")
-        return "job-epoch", ""
+        return None, "single-core flash-sync (blocks on each miss)"
     return None, f"mode {mode.name} multiplexes threads per burst"
 
 

@@ -146,6 +146,8 @@ class TestGcOverheads:
         assert rows[256] == pytest.approx(0.04)
         assert rows[1024] == pytest.approx(0.01)
         assert rows[1024] < 0.01 + 1e-9  # paper: <1% at 1 TiB
+        # The stress cross-check measures a path GC actually blocks.
+        assert result.measurements["stress_blocked_fraction"] > 0.0
 
 
 @pytest.mark.slow

@@ -424,6 +424,46 @@ RESULT_FIELDS = (
 
 ALL_MODES = ("dram-only", "astriflash", "flash-sync", "os-swap")
 
+# Exact per-component totals over every sampled request of the
+# ``_simulate`` run (seed 7, full sampling), in completion order.  The
+# traced and untraced runs share one loop per mode; these pin the float
+# adds, and their order, that the loops charge to sampled jobs (a
+# tolerance on span sums cannot see a rounding change).  Components not
+# listed are 0.0.
+PINNED_COMPONENT_TOTALS = {
+    "dram-only": (602, {
+        "compute": 2631220.1421651714,
+        "dram_hit": 711990.0,
+        "tlb_walk": 52164.0,
+    }),
+    "flash-sync": (21, {
+        "compute": 91724.51608031854,
+        "dram_hit": 25272.0,
+        "tlb_walk": 2106.0,
+        "sync_wait": 3061674.055707006,
+    }),
+    "astriflash": (34, {
+        "compute": 157805.11872131086,
+        "dram_hit": 40540.5,
+        "tlb_walk": 12312.0,
+        "miss_signal": 2700.8000000000006,
+        "switch": 5700.0,
+        "flash_read": 2670724.2721420946,
+        "install_wait": 1366867.5859247409,
+        "ready_wait": 25659129.935030073,
+        "sync_wait": 479392.3442672299,
+    }),
+    "os-swap": (118, {
+        "compute": 526268.882041617,
+        "dram_hit": 138267.0,
+        "tlb_walk": 9882.0,
+        "miss_signal": 705000.0,
+        "switch": 705000.0,
+        "flash_wait": 9660134.622339834,
+        "ready_wait": 1888590.3234840515,
+    }),
+}
+
 
 class TestTracedSimulation:
     @pytest.mark.parametrize("config_name", ALL_MODES)
@@ -451,6 +491,19 @@ class TestTracedSimulation:
                 continue
             error = abs(record.span_sum_ns() - measured) / measured
             assert error < 1e-6, (record, record.components())
+
+    @pytest.mark.parametrize("config_name", ALL_MODES)
+    def test_component_totals_match_pinned_values(self, config_name):
+        tracer = Tracer()
+        _simulate(config_name, tracer=tracer)
+        count, pinned = PINNED_COMPONENT_TOTALS[config_name]
+        assert len(tracer.completed) == count
+        totals = {name: 0.0 for name in COMPONENTS}
+        for record in tracer.completed:
+            for name in COMPONENTS:
+                totals[name] += getattr(record, name)
+        assert totals == {name: pinned.get(name, 0.0)
+                          for name in COMPONENTS}
 
     def test_exported_trace_validates(self):
         tracer = Tracer()

@@ -4,12 +4,12 @@ The backend's contract is *bit-identity*: on every evaluated preset x
 workload pair, a ``backend="vector"`` run must produce the same
 :meth:`Machine.state_fingerprint` and the same deterministic
 :class:`SimulationResult` fields as the scalar golden reference —
-whether the vector engine actually engages (DRAM-only fused loop,
-Flash-Sync job-epoch loop) or silently falls back (multi-core,
-open-loop, tracing, fault plans).  The sweep below pins that property;
-the unit tests cover the batched primitives the loops are built from
-(RNG bridge, zipf blocks, tag-probe runs, flash read batches, engine
-batch advance) and the kernel bench that reports the speedup.
+whether the vector engine actually engages (DRAM-only fused and
+merged loops) or silently falls back (Flash-Sync, multiplexed modes,
+tracing, fault plans).  The sweep below pins that property; the unit
+tests cover the batched primitives the loops are built from (RNG
+bridge, zipf blocks, engine batch advance) and the kernel bench that
+reports the speedup.
 """
 
 import json
@@ -21,7 +21,7 @@ import pytest
 
 from repro import perf
 from repro.cli import main
-from repro.config import EVALUATED_CONFIG_NAMES, make_config
+from repro.config import EVALUATED_CONFIG_NAMES
 from repro.core import Runner
 from repro.errors import ConfigurationError
 from repro.harness.common import HarnessScale, build_config
@@ -97,17 +97,29 @@ def test_vector_multicore_engages_bit_identical(workload_name):
     assert stats["scalar_fallbacks"] == 0
 
 
-def test_vector_multicore_flash_sync_falls_back_bit_identical():
-    """Cores share the DRAM cache and flash path; that shape stays on
-    the scalar engine with a recorded reason."""
+@pytest.mark.parametrize("cores,open_loop,reason", [
+    (2, False, "multi-core flash-sync"),
+    (1, False, "single-core flash-sync"),
+    (1, True, "single-core flash-sync"),
+], ids=["2core-closed", "1core-closed", "1core-open"])
+def test_flash_sync_falls_back_bit_identical(cores, open_loop, reason):
+    """Flash-Sync has no vector loop (the core blocks on each miss):
+    every shape stays on the scalar engine with a recorded reason."""
+
+    def arrivals():
+        return PoissonArrivals(60.0 * US, seed=SEED + 1) if open_loop \
+            else None
+
     scalar = identity_surface(*run_once("flash-sync", "arrayswap",
-                                        "scalar", cores=2))
+                                        "scalar", cores=cores,
+                                        arrivals=arrivals()))
     vector.reset_stats()
     vec = identity_surface(*run_once("flash-sync", "arrayswap",
-                                     "vector", cores=2))
+                                     "vector", cores=cores,
+                                     arrivals=arrivals()))
     assert vec == scalar
     assert vector.stats()["scalar_fallbacks"] == 1
-    assert "multi-core flash-sync" in vector.last_fallback_reason()
+    assert reason in vector.last_fallback_reason()
 
 
 def test_fused_loop_engages_on_dram_only():
@@ -118,14 +130,6 @@ def test_fused_loop_engages_on_dram_only():
     assert stats["scalar_fallbacks"] == 0
     assert stats["batched_jobs"] > 0
     assert stats["batched_steps"] > 0
-
-
-def test_job_epoch_loop_engages_on_flash_sync():
-    vector.reset_stats()
-    run_once("flash-sync", "arrayswap", "vector")
-    stats = vector.stats()
-    assert stats["job_epoch_runs"] == 1
-    assert stats["hit_run_probes"] > 0
 
 
 def test_truncated_final_job_matches_scalar_live_set():
@@ -188,24 +192,6 @@ def test_open_loop_arrival_modes_engage_bit_identical(make_arrivals,
     assert stats["scalar_fallbacks"] == 0
     assert stats["open_loop_runs" if cores == 1 else
                  "multi_core_runs"] == 1
-
-
-def test_open_loop_flash_sync_engages_job_epoch_bit_identical():
-    """Single-core open-loop Flash-Sync rides the job-epoch loop (the
-    park/wake protocol mirrors the scalar idle path)."""
-
-    def arrivals():
-        return PoissonArrivals(60.0 * US, seed=SEED + 1)
-
-    scalar = identity_surface(*run_once("flash-sync", "arrayswap",
-                                        "scalar", arrivals=arrivals()))
-    vector.reset_stats()
-    vec = identity_surface(*run_once("flash-sync", "arrayswap",
-                                     "vector", arrivals=arrivals()))
-    assert vec == scalar
-    stats = vector.stats()
-    assert stats["job_epoch_runs"] == 1
-    assert stats["scalar_fallbacks"] == 0
 
 
 def test_trace_exhaustion_falls_back_bit_identical():
@@ -390,69 +376,6 @@ def test_zipf_sample_block_matches_scalar_stream():
                for page in produced)
 
 
-def test_lookup_many_matches_scalar_lookups():
-    def fresh():
-        config = make_config("flash-sync")
-        config.scale.dataset_pages = 512
-        from repro.core.machine import Machine
-
-        return Machine(config)
-
-    pages = [i % 96 for i in range(64)]
-    writes = [i % 3 == 0 for i in range(64)]
-
-    scalar_machine = fresh()
-    vector_machine = fresh()
-    for machine in (scalar_machine, vector_machine):
-        machine.dram_cache.warm(range(48))
-
-    org_s = scalar_machine.dram_cache.organization
-    org_v = vector_machine.dram_cache.organization
-    hits = 0
-    for page, write in zip(pages, writes):
-        if not org_s.lookup(page, write):
-            break
-        hits += 1
-    assert org_v.lookup_many(pages, writes) == hits
-    assert org_s.dump_state() != org_v.dump_state()  # missing probe differs
-    # Replaying the miss through the scalar probe reconverges the state.
-    org_v.lookup(pages[hits], writes[hits])
-    assert org_s.dump_state() == org_v.dump_state()
-
-
-def test_plane_of_many_matches_plane_of():
-    config = make_config("flash-sync")
-    config.scale.dataset_pages = 256
-    from repro.core.machine import Machine
-
-    machine = Machine(config)
-    ftl = machine.flash.ftl
-    pages = list(range(0, 256, 3))
-    assert ftl.plane_of_many(pages) == [ftl.plane_of(p) for p in pages]
-    assert ftl.plane_of_many([]) == []
-
-
-def test_read_many_matches_sequential_reads():
-    def run_reads(batched: bool):
-        config = make_config("flash-sync")
-        config.scale.dataset_pages = 256
-        from repro.core.machine import Machine
-
-        machine = Machine(config)
-        engine = machine.engine
-        pages = [7, 19, 7, 130, 64]
-        if batched:
-            signals = machine.flash.read_many(pages)
-        else:
-            signals = [machine.flash.read(page) for page in pages]
-        engine.run()
-        done = [(signal.value.logical_page, signal.value.plane_index,
-                 signal.value.complete_time) for signal in signals]
-        return done, engine.events_executed
-
-    assert run_reads(True) == run_reads(False)
-
-
 class TestAdvanceBatch:
     def test_advances_clock_and_event_tally(self):
         engine = Engine()
@@ -503,7 +426,6 @@ class TestKernelBench:
             list(perf.KERNEL_BENCH_SHAPES)
         assert bench.bit_identical is True
         expected_kind = {"fused": "fused_runs",
-                         "flash-sync": "job_epoch_runs",
                          "open-loop": "open_loop_runs",
                          "multi-core": "multi_core_runs"}
         for name, stat in expected_kind.items():
