@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
 from repro.config.system import PagingMode, SystemConfig
-from repro.core.machine import Machine
+from repro.core.machine import DEFAULT_WARM_STEPS, Machine
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracer import active as _tracer_active
@@ -224,7 +224,7 @@ class Runner:
 
     # ----------------------------------------------------------------- warm --
 
-    def warm(self, num_steps: Optional[int] = None) -> None:
+    def warm(self, num_steps: int = DEFAULT_WARM_STEPS) -> None:
         """Warm the machine's DRAM tier once (idempotent).
 
         Split out of :meth:`run` so :mod:`repro.snapshot` can capture
@@ -238,10 +238,7 @@ class Runner:
         if machine.dram_cache is None and machine.pager is None:
             return  # no warm tier (DRAM-only): stays "none"
         start = time.perf_counter()
-        if num_steps is None:
-            machine.warm_caches(self.workload)
-        else:
-            machine.warm_caches(self.workload, num_steps=num_steps)
+        machine.warm_caches(self.workload, num_steps=num_steps)
         self._warm_wall_seconds = time.perf_counter() - start
         self._warm_source = "fresh"
         _WALL_TOTALS["warm_seconds"] += self._warm_wall_seconds
@@ -301,9 +298,14 @@ class Runner:
                 for core_id in range(self.config.num_cores):
                     spawn(engine, self._arrival_process(core_id),
                           name=f"arrivals{core_id}")
+            mode = self.config.mode
             for core_id in range(self.config.num_cores):
-                spawn(engine, self._core_loop(core_id),
-                      name=f"core{core_id}")
+                if mode in (PagingMode.DRAM_ONLY, PagingMode.FLASH_SYNC):
+                    loop = self._run_to_completion_loop(
+                        core_id, with_cache=mode is PagingMode.FLASH_SYNC)
+                else:
+                    loop = self._multiplexed_loop(core_id)
+                spawn(engine, loop, name=f"core{core_id}")
             engine.schedule(scale.warmup_ns, self._start_measurement)
             end = scale.warmup_ns + scale.measurement_ns
             engine.run(until=end)
@@ -527,16 +529,7 @@ class Runner:
                 )
             yield replay.completion
 
-    # -------------------------------------------------------------- core loop --
-
-    def _core_loop(self, core_id: int):
-        mode = self.config.mode
-        if mode is PagingMode.DRAM_ONLY:
-            yield from self._run_to_completion_loop(core_id, with_cache=False)
-        elif mode is PagingMode.FLASH_SYNC:
-            yield from self._run_to_completion_loop(core_id, with_cache=True)
-        else:
-            yield from self._multiplexed_loop(core_id)
+    # -------------------------------------------------------------- core loops --
 
     # -- DRAM-only and Flash-Sync: one job at a time ---------------------------
 
@@ -545,10 +538,16 @@ class Runner:
         flat = self.machine.flat_dram_latency_ns
         cache = self.machine.dram_cache
         # Per-step locals for the hot inner loop; the TLB-hit draw is
-        # inlined so _walk_miss_ns only runs on actual TLB misses.
+        # inlined so _walk_miss_ns only runs on actual TLB misses.  A
+        # hit is one call (the tag probe, DramCache.probe) and adds
+        # the hit latency; a miss continues in the frontside
+        # controller.
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
-        cache_access = cache.access if cache is not None else None
+        if with_cache:
+            probe = cache.probe
+            cache_miss = cache.frontside.miss
+            hit_ns = cache.timing.hit_latency_ns
         tracer = self._tracer
         track = f"core{core_id}"
 
@@ -581,33 +580,32 @@ class Runner:
                     if record is not None:
                         record.compute += compute_ns
                         record.dram_hit += flat
+                elif probe(page, is_write):
+                    accumulated += hit_ns
+                    if record is not None:
+                        record.compute += compute_ns
+                        record.dram_hit += hit_ns
                 else:
-                    result = cache_access(page, is_write)
-                    if result.hit:
-                        accumulated += result.latency_ns
-                        if record is not None:
-                            record.compute += compute_ns
-                            record.dram_hit += result.latency_ns
-                    else:
-                        # Flash-Sync: the core waits for the refill.
-                        self._misses += 1
-                        job.misses += 1
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        wait_start = engine.now
-                        if record is not None:
-                            record.compute += compute_ns
-                            tracer.instant(track, "miss", wait_start,
-                                           {"page": page})
-                        yield result.completion
-                        accumulated = yield from self._replay_until_hit(
-                            page, is_write
-                        )
-                        if record is not None:
-                            self._charge_sync_wait(record, core_id,
-                                                   wait_start, accumulated,
-                                                   page)
-                        self.stats.add("sync_miss_waits")
+                    # Flash-Sync: the core waits for the refill.
+                    result = cache_miss(page, is_write)
+                    self._misses += 1
+                    job.misses += 1
+                    yield accumulated
+                    self._busy_ns += accumulated
+                    wait_start = engine.now
+                    if record is not None:
+                        record.compute += compute_ns
+                        tracer.instant(track, "miss", wait_start,
+                                       {"page": page})
+                    yield result.completion
+                    accumulated = yield from self._replay_until_hit(
+                        page, is_write
+                    )
+                    if record is not None:
+                        self._charge_sync_wait(record, core_id,
+                                               wait_start, accumulated,
+                                               page)
+                    self.stats.add("sync_miss_waits")
                 if accumulated >= TIME_QUANTUM_NS:
                     yield accumulated
                     self._busy_ns += accumulated
@@ -622,10 +620,35 @@ class Runner:
     # -- AstriFlash and OS-Swap: switch-on-stall multiplexing --------------------
 
     def _multiplexed_loop(self, core_id: int):
-        engine = self.machine.engine
-        library = self.machine.libraries[core_id]
-        mode = self.config.mode
+        """One core's scheduler and its thread bursts, in one frame.
+
+        Each pass picks a thread, charges the switch, and runs the
+        thread's steps until it finishes or parks on a miss (the
+        burst ``break``s back to the scheduler).  The per-access
+        locals are bound once per core process; the hit paths are
+        inline so the miss generators (and their setup cost) only run
+        on misses.
+        """
+        machine = self.machine
+        engine = machine.engine
+        library = machine.libraries[core_id]
+        core = machine.cores[core_id]
         tracer = self._tracer
+        track = f"core{core_id}"
+        astriflash = self.config.mode is PagingMode.ASTRIFLASH
+        if astriflash:
+            # A hit is one call (the tag probe) plus the hit latency; a
+            # miss continues in the frontside controller.
+            cache = machine.dram_cache
+            probe = cache.probe
+            cache_miss = cache.frontside.miss
+            hit_ns = cache.timing.hit_latency_ns
+        else:
+            pager_access = machine.pager.access
+        flat = machine.flat_dram_latency_ns
+        rng_random = self._rng_random
+        tlb_p = self._tlb_miss_probability
+        quantum = TIME_QUANTUM_NS
 
         while True:
             self._admit(core_id)
@@ -657,14 +680,20 @@ class Runner:
                 self.stats.add("time_switch_ns", switch_ns)
             was_ready = thread.state is ThreadState.READY
             thread.dispatch()
-            if thread.job.started_at is None:
-                thread.job.started_at = engine.now
+            job = thread.job
+            # A sampled job binds its trace record (None otherwise), a
+            # walk that also charges the record, and a core-track slice
+            # spanning this on-core episode (dispatch to park/finish).
+            record = None
+            walk_miss = self._walk_miss_ns
+            if job.started_at is None:
+                job.started_at = engine.now
                 if tracer is not None:
-                    tracer.start_request(thread.job, engine.now)
-            elif tracer is not None and dispatched_from in (
-                    ThreadState.PENDING, ThreadState.READY):
-                record = tracer.lookup(thread.job.job_id)
-                if record is not None:
+                    record = tracer.start_request(job, engine.now)
+            elif tracer is not None:
+                record = tracer.lookup(job.job_id)
+                if record is not None and dispatched_from in (
+                        ThreadState.PENDING, ThreadState.READY):
                     # Close the parked interval: halt -> this dispatch.
                     signal = thread.wait_signal
                     payload = (signal.value
@@ -678,8 +707,78 @@ class Runner:
                 # Forward-progress guarantee: the resuming instruction
                 # must retire even if its page was evicted meanwhile.
                 thread.forward_progress = True
+            if record is not None:
+                walk_miss = self._traced_walk(record)
+                tracer.push(track, f"{job.workload_name}#{job.job_id}",
+                            engine.now)
 
-            yield from self._run_thread(core_id, library, thread, mode)
+            # The burst.  The job's step iterator is bound once per
+            # burst; a parked thread resumes with the step that missed
+            # (replayed after the refill), and only a park writes the
+            # pending step back.
+            accumulated = 0.0
+            steps = job.steps
+            step = thread.current_step
+            thread.current_step = None
+            while True:
+                if step is None:
+                    step = next(steps, None)
+                    if step is None:
+                        if accumulated > 0.0:
+                            yield accumulated
+                            self._busy_ns += accumulated
+                        if record is not None:
+                            tracer.pop(track, engine.now)
+                        self._finish_job(library.on_finish(thread))
+                        break
+                compute_ns, page, is_write = step
+
+                accumulated += compute_ns + (
+                    0.0 if rng_random() >= tlb_p else walk_miss(page)
+                )
+                self._accesses += 1
+
+                if astriflash:
+                    if probe(page, is_write):
+                        outcome = accumulated + hit_ns
+                        if record is not None:
+                            record.compute += compute_ns
+                            record.dram_hit += hit_ns
+                    else:
+                        if record is not None:
+                            record.compute += compute_ns
+                        outcome = yield from self._astriflash_miss(
+                            core_id, library, thread, page, is_write,
+                            accumulated, cache_miss(page, is_write), record
+                        )
+                elif pager_access(page, is_write):
+                    outcome = accumulated + flat
+                    if record is not None:
+                        record.compute += compute_ns
+                        record.dram_hit += flat
+                else:
+                    if record is not None:
+                        record.compute += compute_ns
+                    outcome = yield from self._os_swap_fault(
+                        core_id, library, thread, page, is_write,
+                        accumulated, record
+                    )
+                if outcome is None:
+                    # Thread parked on the miss: back to the scheduler.
+                    thread.current_step = step
+                    if record is not None:
+                        tracer.pop(track, engine.now)
+                    break
+                accumulated = outcome
+                step = None
+                if thread.forward_progress:
+                    # The forced instruction retired: clear the bit.
+                    thread.forward_progress = False
+                    core.registers.retire_resuming_instruction()
+                if accumulated >= quantum:
+                    yield accumulated
+                    self._busy_ns += accumulated
+                    accumulated = 0.0
 
     def _admit(self, core_id: int) -> None:
         library = self.machine.libraries[core_id]
@@ -695,110 +794,13 @@ class Runner:
             return self.machine.pager.average_fault_latency_ns()
         return self.machine.flash.average_read_latency_ns()
 
-    def _run_thread(self, core_id: int, library, thread: UserThread, mode):
-        core = self.machine.cores[core_id]
-        engine = self.machine.engine
-        accumulated = 0.0
-        # Per-step locals: this loop runs once per memory access on the
-        # multiplexed modes.  The hit paths are handled inline so the
-        # miss generators (and their setup cost) only run on misses.
-        astriflash = mode is PagingMode.ASTRIFLASH
-        cache_access = self.machine.dram_cache.access if astriflash else None
-        pager_access = None if astriflash else self.machine.pager.access
-        flat = self.machine.flat_dram_latency_ns
-        rng_random = self._rng_random
-        tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
-        quantum = TIME_QUANTUM_NS
-        job = thread.job
-        # A sampled job binds its trace record (None otherwise), a walk
-        # that also charges the record, and a core-track slice spanning
-        # this on-core episode (dispatch to park/finish).
-        tracer = self._tracer
-        record = None
-        if tracer is not None:
-            record = tracer.lookup(job.job_id)
-            if record is not None:
-                walk_miss = self._traced_walk(record)
-                track = f"core{core_id}"
-                tracer.push(track, f"{job.workload_name}#{job.job_id}",
-                            engine.now)
-        # The job's step iterator is bound once per burst.  A parked
-        # thread resumes with the step that missed (replayed after the
-        # refill); only a park writes the pending step back.
-        steps = job.steps
-        step = thread.current_step
-        thread.current_step = None
-
-        while True:
-            if step is None:
-                step = next(steps, None)
-                if step is None:
-                    if accumulated > 0.0:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                    if record is not None:
-                        tracer.pop(track, engine.now)
-                    self._finish_job(library.on_finish(thread))
-                    return
-            compute_ns, page, is_write = step
-
-            accumulated += compute_ns + (
-                0.0 if rng_random() >= tlb_p else walk_miss(page)
-            )
-            self._accesses += 1
-
-            if astriflash:
-                result = cache_access(page, is_write)
-                if result.hit:
-                    outcome = accumulated + result.latency_ns
-                    if record is not None:
-                        record.compute += compute_ns
-                        record.dram_hit += result.latency_ns
-                else:
-                    if record is not None:
-                        record.compute += compute_ns
-                    outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, page, is_write,
-                        accumulated, result, record
-                    )
-            else:
-                if pager_access(page, is_write):
-                    outcome = accumulated + flat
-                    if record is not None:
-                        record.compute += compute_ns
-                        record.dram_hit += flat
-                else:
-                    if record is not None:
-                        record.compute += compute_ns
-                    outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, page, is_write,
-                        accumulated, record
-                    )
-            if outcome is None:
-                # Thread parked on the miss: back to the scheduler.
-                thread.current_step = step
-                if record is not None:
-                    tracer.pop(track, engine.now)
-                return
-            accumulated = outcome
-            step = None
-            if thread.forward_progress:
-                # The forced instruction retired: clear the bit.
-                thread.forward_progress = False
-                core.registers.retire_resuming_instruction()
-            if accumulated >= quantum:
-                yield accumulated
-                self._busy_ns += accumulated
-                accumulated = 0.0
-
     # -- AstriFlash miss path ------------------------------------------------------
 
     def _astriflash_miss(self, core_id: int, library, thread: UserThread,
                          page: int, is_write: bool, accumulated: float,
                          result, record=None):
         """Miss continuation for the AstriFlash access path; the hit
-        case is handled inline in :meth:`_run_thread`.
+        case is handled inline in :meth:`_multiplexed_loop`.
 
         ``record`` is the request's trace record when the job is
         sampled (misses are rare relative to steps, so per-miss
@@ -897,7 +899,7 @@ class Runner:
                        page: int, is_write: bool, accumulated: float,
                        record=None):
         """Fault continuation for the OS-Swap access path; the
-        resident-set hit is handled inline in :meth:`_run_thread`."""
+        resident-set hit is handled inline in :meth:`_multiplexed_loop`."""
         pager = self.machine.pager
         engine = self.machine.engine
         flat = self.machine.flat_dram_latency_ns

@@ -51,37 +51,42 @@ class DramCache:
         # All hits look alike and callers never mutate results, so one
         # shared instance serves every hit.
         self._hit_result = AccessResult(True, self.timing.hit_latency_ns)
-        # The FC access counter's value cell, bound at the first
-        # access so the key stays absent until then.
-        self._accesses_cell = None
+        # The tag probe bumps the FC's access counter itself, so a hit
+        # is one call.
+        self.organization.count_accesses(self.frontside.accesses)
+        # The frontside controller's hit decision: ``probe(page,
+        # is_write)`` counts the access, runs the admission hooks (if
+        # any) and probes the tags, returning True on a hit.  Without
+        # a policy it *is* the organization's lookup.
+        self.probe = (self.organization.lookup if admission is None
+                      else self._probe_admitted)
 
     # -- data path ------------------------------------------------------------
+
+    def _probe_admitted(self, page: int, is_write: bool = False) -> bool:
+        """:attr:`probe` under an admission policy: the hooks, then the
+        tag probe."""
+        admission = self._admission
+        if is_write:
+            # Application stores, window-scoped later by the GC
+            # baselines; on the flash stats so they reach results.
+            self.flash.stats.add("app_writes")
+            if admission.propagate_writes:
+                self.backside.write_through(page)
+        else:
+            admission.observe_read(page)
+        return self.organization.lookup(page, is_write)
 
     def access(self, page: int, is_write: bool = False) -> AccessResult:
         """One request from the on-chip hierarchy.
 
-        The frontside controller's hit decision, made here so that a
-        hit costs this call plus the tag probe in
-        :meth:`DramCacheOrganization.lookup`: count the access, run the
-        admission hooks, probe.  Hits return immediately with the full
-        hit latency; a miss continues in
-        :meth:`FrontsideController.miss`.
+        :attr:`probe` decides hit or miss; hits return the shared hit
+        result with the full hit latency, and a miss continues in
+        :meth:`FrontsideController.miss`.  The runner's hot loops bind
+        ``probe`` and ``frontside.miss`` themselves and skip this
+        frame.
         """
-        cell = self._accesses_cell
-        if cell is None:
-            cell = self._accesses_cell = self.frontside.accesses.cell()
-        cell[0] += 1.0
-        admission = self._admission
-        if admission is not None:
-            if is_write:
-                # Application stores, window-scoped later by the GC
-                # baselines; on the flash stats so they reach results.
-                self.flash.stats.add("app_writes")
-                if admission.propagate_writes:
-                    self.backside.write_through(page)
-            else:
-                admission.observe_read(page)
-        if self.organization.lookup(page, is_write):
+        if self.probe(page, is_write):
             return self._hit_result
         return self.frontside.miss(page, is_write)
 

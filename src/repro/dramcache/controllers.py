@@ -391,9 +391,10 @@ class BacksideController:
 class FrontsideController:
     """Miss handling in front of the DRAM cache.
 
-    The hit decision itself -- access count, admission hooks, tag
-    probe -- runs in :meth:`repro.dramcache.cache.DramCache.access`,
-    so a hit costs two calls; a miss continues in :meth:`miss`.
+    The hit decision itself -- admission hooks, then the tag probe,
+    which also counts ``accesses`` -- is
+    :attr:`repro.dramcache.cache.DramCache.probe`, so a hit costs one
+    call; a miss continues in :meth:`miss`.
     """
 
     def __init__(self, engine: Engine, config: DramCacheConfig,

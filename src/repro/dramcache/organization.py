@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.stats import CounterSet
+from repro.stats.counters import Counter
 
 
 class Way:
@@ -105,6 +106,18 @@ class DramCacheOrganization:
         # first hit so the key stays absent until then.
         self._hit_cell: Optional[List[float]] = None
         self._misses = self.stats.counter("misses")
+        # The access counter lookup() bumps: a private one, nobody
+        # reads, until count_accesses() hands in the frontside
+        # controller's.  Its cell is bound at the first lookup.
+        self._access_counter = Counter("accesses", {})
+        self._access_cell: Optional[List[float]] = None
+
+    def count_accesses(self, counter: Counter) -> None:
+        """Count every :meth:`lookup` on ``counter`` from now on (the
+        frontside controller's ``accesses``; its key stays absent
+        until the first lookup)."""
+        self._access_counter = counter
+        self._access_cell = None
 
     # -- indexing -------------------------------------------------------------
 
@@ -120,7 +133,12 @@ class DramCacheOrganization:
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, page: int, is_write: bool = False) -> bool:
-        """Probe the tags; on a hit, touch LRU (and dirty for writes)."""
+        """Count the access and probe the tags; on a hit, touch LRU
+        (and dirty for writes)."""
+        cell = self._access_cell
+        if cell is None:
+            cell = self._access_cell = self._access_counter.cell()
+        cell[0] += 1.0
         self._clock += 1
         mask = self._set_mask
         index = page & mask if mask is not None else page % self.num_sets

@@ -49,8 +49,5 @@ class PCIeLink:
         self.stats.add("transfers")
         self.stats.add("bytes", num_bytes)
 
-    def utilization(self) -> float:
-        return self._pipe.utilization()
-
     def __repr__(self) -> str:
         return f"<PCIeLink {self.bandwidth_bytes_per_ns:.0f} GB/s lat={self.latency_ns} ns>"

@@ -42,14 +42,6 @@ class Server:
         self.name = name
         self.busy = 0
         self._waiting: Deque[Signal] = deque()
-        # Utilization accounting.
-        self._busy_integral = 0.0
-        self._last_change = engine.now
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_integral += self.busy * (now - self._last_change)
-        self._last_change = now
 
     def acquire(self, high_priority: bool = False) -> Optional[Signal]:
         """Claim a server slot.
@@ -60,7 +52,6 @@ class Server:
         ``high_priority`` waiters are granted before normal waiters
         (e.g. flash reads ahead of background program drains).
         """
-        self._account()
         if self.busy < self.capacity:
             self.busy += 1
             return None
@@ -75,7 +66,6 @@ class Server:
         """Free one server slot, handing it to the oldest waiter if any."""
         if self.busy <= 0:
             raise SimulationError(f"release() on idle server {self.name!r}")
-        self._account()
         if self._waiting:
             # Hand the slot directly to the next waiter: busy stays constant.
             signal = self._waiting.popleft()
@@ -87,14 +77,6 @@ class Server:
     def queue_length(self) -> int:
         """Number of processes waiting for a slot."""
         return len(self._waiting)
-
-    def utilization(self) -> float:
-        """Time-averaged fraction of busy servers since construction."""
-        self._account()
-        elapsed = self._last_change
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
 
     def __repr__(self) -> str:
         return (

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config.system import PagingMode, SystemConfig
+from repro.core.machine import DEFAULT_WARM_STEPS
 from repro.stats import CounterSet
 from repro.workloads import make_workload
 
@@ -64,9 +65,6 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 #: Suffixes the LRU pruner manages inside the cache tree.
 _PRUNABLE_SUFFIXES = (".pkl", ".snap")
-
-#: Default warmup length, mirrored from Machine.warm_caches.
-DEFAULT_WARM_STEPS = 50_000
 
 #: Process-global snapshot telemetry (``repro report`` footer).
 STATS = CounterSet("snapshot")
@@ -471,7 +469,7 @@ def build_workload(name: str, dataset_pages: int, seed: int,
 
 
 def capture_warm(runner, key: str, store: SnapshotStore,
-                 warm_steps: Optional[int] = None) -> None:
+                 warm_steps: int = DEFAULT_WARM_STEPS) -> None:
     """Warm ``runner`` freshly (idempotent) and serialize the
     warm/measure-boundary state under ``key``.
 

@@ -9,7 +9,7 @@ pointer-chasing page trace the paper's microbenchmark exercises.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,14 @@ class HashIndex:
             [] for _ in range(num_buckets)
         ]
         self._size = 0
+        # Memo of lookup() results per key (see lookup); any insert
+        # clears it, and pickles leave it out.
+        self._paths: Dict[int, Tuple[Optional[int], List[int]]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_paths"] = {}
+        return state
 
     @property
     def size(self) -> int:
@@ -64,6 +72,7 @@ class HashIndex:
 
     def insert(self, key: int) -> List[int]:
         """Insert ``key`` (idempotent); returns touched pages."""
+        self._paths.clear()
         bucket = self._bucket_of(key)
         pages = [self._bucket_page(bucket)]
         entries = self._buckets[bucket]
@@ -87,6 +96,7 @@ class HashIndex:
         identical — minus the chain walks and touched-page lists that
         bulk construction throws away.
         """
+        self._paths.clear()
         keys = list(keys)
         pages = self._entry_heap.allocate_pages(len(keys))
         buckets = self._buckets
@@ -103,8 +113,18 @@ class HashIndex:
         self._size += len(keys)
 
     def lookup(self, key: int) -> Tuple[Optional[int], List[int]]:
-        """(entry page or None, touched page path)."""
-        # Hottest index operation: _bucket_of/_bucket_page inlined.
+        """(entry page or None, touched page path).
+
+        The result is memoized per key until the next insert: runs
+        query a fixed index with repeating (Zipfian) keys.  The path
+        list is shared between calls, so callers must not mutate it.
+        """
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = self._walk(key)
+        return found
+
+    def _walk(self, key: int) -> Tuple[Optional[int], List[int]]:
         bucket = (key * 2654435761) % self.num_buckets
         pages = [self._bucket_base + bucket // BUCKETS_PER_PAGE]
         for entry_key, entry_page in reversed(self._buckets[bucket]):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Job, Step, Workload
@@ -62,6 +62,14 @@ class Masstree:
         self._root: object = _LeafNode(self._new_page())
         self._size = 0
         self._height = 1
+        # Memo of get() results per key (see get); insert and delete
+        # clear it, and pickles leave it out.
+        self._paths: Dict[int, Tuple[Optional[int], List[int]]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_paths"] = {}
+        return state
 
     def _new_page(self) -> int:
         return self._heap.allocate().page
@@ -78,7 +86,19 @@ class Masstree:
 
     def get(self, key: int) -> Tuple[Optional[int], List[int]]:
         """Value page for ``key`` (None if absent) plus the index page
-        path the traversal touched, root first."""
+        path the traversal touched, root first.
+
+        The result is memoized per key until the next insert or
+        delete: runs query a fixed tree with repeating (Zipfian) keys.
+        The path list is shared between calls, so callers must not
+        mutate it.
+        """
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = self._descend(key)
+        return found
+
+    def _descend(self, key: int) -> Tuple[Optional[int], List[int]]:
         path: List[int] = []
         node = self._root
         while isinstance(node, _InteriorNode):
@@ -95,6 +115,7 @@ class Masstree:
 
     def insert(self, key: int, value_page: int) -> List[int]:
         """Insert or update; returns the touched index page path."""
+        self._paths.clear()
         path_nodes: List[_InteriorNode] = []
         node = self._root
         while isinstance(node, _InteriorNode):
@@ -165,6 +186,7 @@ class Masstree:
         sibling or merge with it, and underflow propagates up the
         interior levels, shrinking the root when it empties.
         """
+        self._paths.clear()
         ancestors: List[_InteriorNode] = []
         slots: List[int] = []
         node = self._root

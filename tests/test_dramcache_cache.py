@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import DramCacheConfig, FlashConfig
 from repro.config.system import WritesConfig
-from repro.dramcache import DramCache, build_timing
+from repro.dramcache import DramCache, DramCacheOrganization, build_timing
 from repro.flash import FlashDevice
 from repro.sim import Engine, spawn
 from repro.units import US
@@ -177,8 +177,15 @@ def test_flat_partition_latency_is_one_dram_access():
     assert flat < serialized.hit_latency_ns
 
 
-@pytest.mark.parametrize("policy", [None, "write-through", "readiness"])
-def test_access_count_splits_into_hits_misses_and_coalesced(policy):
+ACCESS_SEQUENCE = [(3, False), (5, True), (3, False), (100, False),
+                   (100, True), (100, False), (7, True), (200, True),
+                   (200, False)]
+
+
+def drive_cache(policy, via_probe):
+    """Run ACCESS_SEQUENCE (each miss waits and replays) through
+    ``DramCache.access``, or through ``probe`` + ``frontside.miss`` as
+    the runner's hot loops bind them."""
     admission = None if policy is None else make_admission(
         WritesConfig(enabled=True, admission_policy=policy))
     engine, cache, flash = make_cache(admission=admission)
@@ -186,18 +193,30 @@ def test_access_count_splits_into_hits_misses_and_coalesced(policy):
     assert "accesses" not in cache.frontside.stats.as_dict()
     assert "hits" not in cache.organization.stats.as_dict()
     cache.warm(range(16))
+    probe, miss = cache.probe, cache.frontside.miss
+
+    def access(page, is_write):
+        """The miss result, or None on a hit."""
+        if via_probe:
+            return None if probe(page, is_write) else miss(page, is_write)
+        result = cache.access(page, is_write)
+        return None if result.hit else result
 
     def thread(page, is_write):
-        result = cache.access(page, is_write)
-        if not result.hit:
+        result = access(page, is_write)
+        if result is not None:
             yield result.completion
-            assert cache.access(page, is_write).hit
+            assert access(page, is_write) is None
 
-    for page, is_write in [(3, False), (5, True), (3, False), (100, False),
-                           (100, True), (100, False), (7, True),
-                           (200, True), (200, False)]:
+    for page, is_write in ACCESS_SEQUENCE:
         spawn(engine, thread(page, is_write))
     engine.run()
+    return cache, flash
+
+
+@pytest.mark.parametrize("policy", [None, "write-through", "readiness"])
+def test_access_count_splits_into_hits_misses_and_coalesced(policy):
+    cache, flash = drive_cache(policy, via_probe=False)
     fc = cache.frontside.stats
     org = cache.organization.stats
     assert fc["misses"] == 2
@@ -205,3 +224,20 @@ def test_access_count_splits_into_hits_misses_and_coalesced(policy):
     assert fc["accesses"] == org["hits"] + fc["misses"] + fc["coalesced_misses"]
     assert list(fc.as_dict())[:3] == ["accesses", "misses",
                                       "coalesced_misses"]
+    # The runner-bound probe counts and touches exactly as access does:
+    # FC counters, org hits/misses, LRU and dirty state, app writes.
+    probed, probed_flash = drive_cache(policy, via_probe=True)
+    assert probed.frontside.stats.as_dict() == fc.as_dict()
+    assert (probed.organization.dump_state()
+            == cache.organization.dump_state())
+    assert probed_flash.stats.as_dict() == flash.stats.as_dict()
+
+
+def test_bare_organization_counts_hits_and_misses_without_accesses():
+    org = DramCacheOrganization(num_pages=64, associativity=4)
+    assert not org.lookup(5)
+    org.populate(5)
+    assert org.lookup(5)
+    assert org.stats["hits"] == 1
+    assert org.stats["misses"] == 1
+    assert "accesses" not in org.stats.as_dict()

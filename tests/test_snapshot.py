@@ -70,21 +70,38 @@ def _fresh_runner(config_name: str, workload_name: str) -> Runner:
 # ------------------------------------------------ fingerprint property test --
 
 
-@pytest.mark.parametrize("workload_name", EVALUATED_WORKLOADS)
-@pytest.mark.parametrize("config_name", EVALUATED_CONFIG_NAMES)
+# Every preset x workload pair at WARM_STEPS, plus one pair on the
+# default path: warm length omitted everywhere.
+RESTORE_CASES = [
+    pytest.param(config_name, workload_name, WARM_STEPS,
+                 id=f"{config_name}-{workload_name}")
+    for config_name in EVALUATED_CONFIG_NAMES
+    for workload_name in EVALUATED_WORKLOADS
+] + [pytest.param("astriflash", "tatp", None,
+                  id="astriflash-tatp-default-warm")]
+
+
+@pytest.mark.parametrize("config_name,workload_name,warm_steps",
+                         RESTORE_CASES)
 def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name,
-                                                tmp_path):
+                                                warm_steps, tmp_path):
     """For every preset x workload pair, the machine fingerprint after
     snapshot-restore equals the fingerprint after a fresh warm — both
-    via capture (memo) and via a cold load from the snapshot file."""
+    via capture (memo) and via a cold load from the snapshot file.
+    With ``warm_steps`` None the key, the capture and the reference
+    warm (``Machine.warm_caches`` itself) all take their default warm
+    length, which must be one and the same."""
     config = build_config(config_name, TINY)
+    steps = {} if warm_steps is None else {"warm_steps": warm_steps}
     key = snap.warm_key(config, workload_name, SEED,
                         TINY.workload_kwargs(),
-                        dataset_pages=TINY.dataset_pages,
-                        warm_steps=WARM_STEPS)
+                        dataset_pages=TINY.dataset_pages, **steps)
 
     reference = _fresh_runner(config_name, workload_name)
-    reference.warm(WARM_STEPS)
+    if warm_steps is None:
+        reference.machine.warm_caches(reference.workload)
+    else:
+        reference.warm(warm_steps)
     want = reference.machine.state_fingerprint()
 
     if key is None:
@@ -97,7 +114,7 @@ def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name,
 
     store = snap.SnapshotStore(tmp_path, enabled=True)
     captured = _fresh_runner(config_name, workload_name)
-    snap.capture_warm(captured, key, store, warm_steps=WARM_STEPS)
+    snap.capture_warm(captured, key, store, **steps)
     assert captured.machine.state_fingerprint() == want
 
     # Cold-restore path: drop the memo so the payload comes off disk.
