@@ -29,6 +29,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Deque, Dict, Optional
 
 from repro.config.system import PagingMode, SystemConfig
@@ -625,9 +626,10 @@ class Runner:
         Each pass picks a thread, charges the switch, and runs the
         thread's steps until it finishes or parks on a miss (the
         burst ``break``s back to the scheduler).  The per-access
-        locals are bound once per core process; the hit paths are
-        inline so the miss generators (and their setup cost) only run
-        on misses.
+        locals are bound once per core process, and the paging mode
+        is bound with them: a hit is one ``probe`` call plus
+        ``hit_ns``, inline, and only a miss enters the mode's miss
+        generator (and pays its setup cost).
         """
         machine = self.machine
         engine = machine.engine
@@ -635,17 +637,20 @@ class Runner:
         core = machine.cores[core_id]
         tracer = self._tracer
         track = f"core{core_id}"
-        astriflash = self.config.mode is PagingMode.ASTRIFLASH
-        if astriflash:
-            # A hit is one call (the tag probe) plus the hit latency; a
+        if self.config.mode is PagingMode.ASTRIFLASH:
+            # A hit is the tag probe plus the DRAM-cache hit latency; a
             # miss continues in the frontside controller.
-            cache = machine.dram_cache
-            probe = cache.probe
-            cache_miss = cache.frontside.miss
-            hit_ns = cache.timing.hit_latency_ns
+            probe = machine.dram_cache.probe
+            hit_ns = machine.dram_cache.timing.hit_latency_ns
+            miss = self._astriflash_miss
+            # The scheduler ages pending threads against the mean stall.
+            avg_stall_ns = machine.flash.average_read_latency_ns
         else:
-            pager_access = machine.pager.access
-        flat = machine.flat_dram_latency_ns
+            # A resident-set hit is a flat DRAM access; a miss faults.
+            probe = machine.pager.access
+            hit_ns = machine.flat_dram_latency_ns
+            miss = self._os_swap_fault
+            avg_stall_ns = machine.pager.average_fault_latency_ns
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
         quantum = TIME_QUANTUM_NS
@@ -653,8 +658,7 @@ class Runner:
         while True:
             self._admit(core_id)
             self._drain_completions(core_id, library)
-            thread = library.pick_next(engine.now,
-                                       self._avg_stall_response_ns())
+            thread = library.pick_next(engine.now, avg_stall_ns())
             if thread is None:
                 signal = Signal(engine, f"idle{core_id}")
                 self._idle[core_id] = signal
@@ -712,65 +716,40 @@ class Runner:
                 tracer.push(track, f"{job.workload_name}#{job.job_id}",
                             engine.now)
 
-            # The burst.  The job's step iterator is bound once per
-            # burst; a parked thread resumes with the step that missed
-            # (replayed after the refill), and only a park writes the
-            # pending step back.
+            # The burst: a ``for`` over the job's steps that ``break``s
+            # when the thread parks and finishes the job when the steps
+            # run out.  A parked thread resumes with the step that
+            # missed (replayed after the refill), chained in front of
+            # the rest; only a park writes the pending step back.
             accumulated = 0.0
             steps = job.steps
             step = thread.current_step
-            thread.current_step = None
-            while True:
-                if step is None:
-                    step = next(steps, None)
-                    if step is None:
-                        if accumulated > 0.0:
-                            yield accumulated
-                            self._busy_ns += accumulated
-                        if record is not None:
-                            tracer.pop(track, engine.now)
-                        self._finish_job(library.on_finish(thread))
-                        break
-                compute_ns, page, is_write = step
-
+            if step is not None:
+                thread.current_step = None
+                steps = chain((step,), steps)
+            for compute_ns, page, is_write in steps:
                 accumulated += compute_ns + (
                     0.0 if rng_random() >= tlb_p else walk_miss(page)
                 )
                 self._accesses += 1
-
-                if astriflash:
-                    if probe(page, is_write):
-                        outcome = accumulated + hit_ns
-                        if record is not None:
-                            record.compute += compute_ns
-                            record.dram_hit += hit_ns
-                    else:
-                        if record is not None:
-                            record.compute += compute_ns
-                        outcome = yield from self._astriflash_miss(
-                            core_id, library, thread, page, is_write,
-                            accumulated, cache_miss(page, is_write), record
-                        )
-                elif pager_access(page, is_write):
-                    outcome = accumulated + flat
+                if probe(page, is_write):
+                    accumulated += hit_ns
                     if record is not None:
                         record.compute += compute_ns
-                        record.dram_hit += flat
+                        record.dram_hit += hit_ns
                 else:
                     if record is not None:
                         record.compute += compute_ns
-                    outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, page, is_write,
-                        accumulated, record
-                    )
-                if outcome is None:
-                    # Thread parked on the miss: back to the scheduler.
-                    thread.current_step = step
-                    if record is not None:
-                        tracer.pop(track, engine.now)
-                    break
-                accumulated = outcome
-                step = None
+                    outcome = yield from miss(core_id, library, thread, page,
+                                              is_write, accumulated, record)
+                    if outcome is None:
+                        # Thread parked on the miss: back to the
+                        # scheduler.
+                        thread.current_step = (compute_ns, page, is_write)
+                        if record is not None:
+                            tracer.pop(track, engine.now)
+                        break
+                    accumulated = outcome
                 if thread.forward_progress:
                     # The forced instruction retired: clear the bit.
                     thread.forward_progress = False
@@ -779,6 +758,14 @@ class Runner:
                     yield accumulated
                     self._busy_ns += accumulated
                     accumulated = 0.0
+            else:
+                # The job's steps ran out: it finishes on this burst.
+                if accumulated > 0.0:
+                    yield accumulated
+                    self._busy_ns += accumulated
+                if record is not None:
+                    tracer.pop(track, engine.now)
+                self._finish_job(library.on_finish(thread))
 
     def _admit(self, core_id: int) -> None:
         library = self.machine.libraries[core_id]
@@ -789,18 +776,14 @@ class Runner:
                 break
             library.admit(job, engine.now)
 
-    def _avg_stall_response_ns(self) -> float:
-        if self.config.mode is PagingMode.OS_SWAP:
-            return self.machine.pager.average_fault_latency_ns()
-        return self.machine.flash.average_read_latency_ns()
-
     # -- AstriFlash miss path ------------------------------------------------------
 
     def _astriflash_miss(self, core_id: int, library, thread: UserThread,
                          page: int, is_write: bool, accumulated: float,
-                         result, record=None):
-        """Miss continuation for the AstriFlash access path; the hit
-        case is handled inline in :meth:`_multiplexed_loop`.
+                         record=None):
+        """Miss continuation for the AstriFlash access path, from the
+        frontside controller's miss handling on; the hit case is
+        handled inline in :meth:`_multiplexed_loop`.
 
         ``record`` is the request's trace record when the job is
         sampled (misses are rare relative to steps, so per-miss
@@ -808,6 +791,7 @@ class Runner:
         """
         core = self.machine.cores[core_id]
         engine = self.machine.engine
+        result = self.machine.dram_cache.frontside.miss(page, is_write)
 
         self._misses += 1
         thread.job.misses += 1

@@ -10,17 +10,22 @@ This module is purely functional state: lookups, LRU, installs,
 reservations (ways claimed for in-flight refills) and evictions.
 
 Tag probes are the single hottest substrate operation in the simulator
-(every access, warmup step, and replay goes through them), so each set
-maintains a ``page -> Way`` dict for valid tags and another for
-in-flight reservations alongside the way list.  The dicts are an
-*index*, not the source of truth: LRU and victim selection still walk
-the way list, preserving the original tie-breaking order exactly.  Two
-invariants keep the views coherent (property-tested in
-``tests/test_dramcache_organization.py``):
+(every access, warmup step, and replay goes through them), so the
+organization keeps one cache-wide ``page -> Way`` dict for valid tags
+and another for in-flight reservations, beside the per-set way lists.
+A page maps to exactly one set, so a cache-wide dict answers the same
+membership question a per-set one would, without the set-index step.
+The dicts are an *index*, not the source of truth: LRU and victim
+selection still walk the set's way list, preserving the original
+tie-breaking order exactly.  Three invariants keep the views coherent
+(property-tested in ``tests/test_structure_properties.py``):
 
-* a way is in the valid index iff ``way.page is not None``;
-* a way is in the reserved index iff ``way.reserved_for is not None``
-  (and a reserved way always has ``page is None``).
+* a page is in the valid index iff some way holds it
+  (``way.page == page``);
+* a page is in the reserved index iff some way is reserved for it
+  (``way.reserved_for == page``), and a reserved way has
+  ``page is None``;
+* every indexed way sits in ``_sets[set_index(page)]``.
 """
 
 from __future__ import annotations
@@ -86,19 +91,10 @@ class DramCacheOrganization:
         self._sets: List[List[Way]] = [
             [Way() for _ in range(associativity)] for _ in range(self.num_sets)
         ]
-        # Per-set tag indexes: page -> Way for valid tags, and
+        # Cache-wide tag indexes: page -> Way for valid tags, and
         # reserved_for -> Way for in-flight refills.
-        self._tag_index: List[Dict[int, Way]] = [
-            {} for _ in range(self.num_sets)
-        ]
-        self._reserved_index: List[Dict[int, Way]] = [
-            {} for _ in range(self.num_sets)
-        ]
-        # Power-of-two set counts (the common configuration) index with
-        # a mask instead of a modulo; identical mapping either way.
-        self._set_mask = (self.num_sets - 1
-                          if self.num_sets & (self.num_sets - 1) == 0
-                          else None)
+        self._tags: Dict[int, Way] = {}
+        self._reserved: Dict[int, Way] = {}
         self._clock = 0  # LRU timestamp source
         self.stats = CounterSet("dram-cache-org")
         self._hits = self.stats.counter("hits")
@@ -122,13 +118,7 @@ class DramCacheOrganization:
     # -- indexing -------------------------------------------------------------
 
     def set_index(self, page: int) -> int:
-        mask = self._set_mask
-        if mask is not None:
-            return page & mask
         return page % self.num_sets
-
-    def _ways(self, page: int) -> List[Way]:
-        return self._sets[self.set_index(page)]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -140,9 +130,7 @@ class DramCacheOrganization:
             cell = self._access_cell = self._access_counter.cell()
         cell[0] += 1.0
         self._clock += 1
-        mask = self._set_mask
-        index = page & mask if mask is not None else page % self.num_sets
-        way = self._tag_index[index].get(page)
+        way = self._tags.get(page)
         if way is not None:
             way.last_touch = self._clock
             way.access_count += 1
@@ -158,11 +146,11 @@ class DramCacheOrganization:
 
     def contains(self, page: int) -> bool:
         """Tag probe without LRU side effects."""
-        return page in self._tag_index[self.set_index(page)]
+        return page in self._tags
 
     def is_reserved(self, page: int) -> bool:
         """True if a refill for ``page`` already holds a way."""
-        return page in self._reserved_index[self.set_index(page)]
+        return page in self._reserved
 
     # -- refill path ------------------------------------------------------------
 
@@ -175,10 +163,10 @@ class DramCacheOrganization:
         the set is already reserved — the backside controller must bound
         outstanding misses per set to avoid this.
         """
-        set_index = self.set_index(page)
-        reserved = self._reserved_index[set_index]
+        reserved = self._reserved
         if page in reserved:
             raise ProtocolError(f"page {page} already has a reserved way")
+        set_index = self.set_index(page)
         ways = self._sets[set_index]
         # Prefer an invalid, unreserved way.
         for way in ways:
@@ -199,7 +187,7 @@ class DramCacheOrganization:
             )
         evicted = EvictedPage(victim.page, victim.dirty,
                               victim.access_count)
-        del self._tag_index[set_index][victim.page]
+        del self._tags[victim.page]
         victim.page = None
         victim.dirty = False
         victim.access_count = 0
@@ -213,8 +201,7 @@ class DramCacheOrganization:
     def install(self, page: int, dirty: bool = False) -> None:
         """Fill the reserved way with the arrived page."""
         self._clock += 1
-        set_index = self.set_index(page)
-        way = self._reserved_index[set_index].pop(page, None)
+        way = self._reserved.pop(page, None)
         if way is None:
             raise ProtocolError(f"install of page {page} without a reservation")
         way.page = page
@@ -222,13 +209,12 @@ class DramCacheOrganization:
         way.last_touch = self._clock
         way.access_count = 1  # the access that missed replays
         way.reserved_for = None
-        self._tag_index[set_index][page] = way
+        self._tags[page] = way
         self.stats.add("installs")
 
     def cancel_reservation(self, page: int) -> None:
         """Release a reservation without installing (error paths)."""
-        set_index = self.set_index(page)
-        way = self._reserved_index[set_index].pop(page, None)
+        way = self._reserved.pop(page, None)
         if way is None:
             raise ProtocolError(f"no reservation to cancel for page {page}")
         way.reserved_for = None
@@ -240,9 +226,7 @@ class DramCacheOrganization:
         # Single probe replacing the old contains() + lookup() pair;
         # the hit arm mirrors lookup()'s hit path exactly and the miss
         # arm has no probe side effects, matching the old behaviour.
-        mask = self._set_mask
-        index = page & mask if mask is not None else page % self.num_sets
-        way = self._tag_index[index].get(page)
+        way = self._tags.get(page)
         if way is not None:
             self._clock += 1
             way.last_touch = self._clock
@@ -261,19 +245,16 @@ class DramCacheOrganization:
         are identical to the populate()/lookup() pair it replaces;
         returns the number of steps consumed.
         """
-        num_sets = self.num_sets
-        mask = self._set_mask
-        tag_index = self._tag_index
+        tags = self._tags
         hits = 0
         done = 0
         for _compute_ns, page, is_write in steps:
-            index = page & mask if mask is not None else page % num_sets
-            way = tag_index[index].get(page)
+            way = tags.get(page)
             if way is None:
                 self.reserve_victim(page)
                 self.install(page)
                 if is_write:
-                    way = tag_index[index][page]
+                    way = tags[page]
                     clock = self._clock + 1
                     self._clock = clock
                     way.last_touch = clock
@@ -356,12 +337,12 @@ class DramCacheOrganization:
         last_touch = state["last_touch"]
         access_count = state["access_count"]
         reserved_for = state["reserved_for"]
+        tags = self._tags
+        reserved_index = self._reserved
+        tags.clear()
+        reserved_index.clear()
         flat = 0
-        for set_index, ways in enumerate(self._sets):
-            tag_index = self._tag_index[set_index]
-            reserved_index = self._reserved_index[set_index]
-            tag_index.clear()
-            reserved_index.clear()
+        for ways in self._sets:
             for way in ways:
                 page = pages[flat]
                 way.page = None if page == -1 else page
@@ -371,7 +352,7 @@ class DramCacheOrganization:
                 reserved = reserved_for[flat]
                 way.reserved_for = None if reserved == -1 else reserved
                 if way.page is not None:
-                    tag_index[way.page] = way
+                    tags[way.page] = way
                 if way.reserved_for is not None:
                     reserved_index[way.reserved_for] = way
                 flat += 1

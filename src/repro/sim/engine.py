@@ -80,6 +80,15 @@ class Event:
 class Engine:
     """The event loop.
 
+    ``now`` is a plain attribute rather than a read-only property,
+    because the runner and the components read it on every dispatch
+    and miss.  Only this class and the vector backend
+    (:mod:`repro.sim.vector`, which advances time for the jobs it runs
+    in bulk) may assign it; everything else moves time through
+    :meth:`run`, :meth:`step` or the checked :meth:`advance_batch`.
+    ``tests/test_sim_engine.py`` fails on any other assignment under
+    ``src/``.
+
     >>> engine = Engine()
     >>> fired = []
     >>> _ = engine.schedule(10.0, fired.append, "a")
@@ -90,7 +99,9 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in nanoseconds (see the class
+        #: docstring for who may assign it).
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
         self._running = False
@@ -99,26 +110,19 @@ class Engine:
         self.events_executed = 0
         self.compactions = 0
 
-    # -- time ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callback, *args: Any) -> Event:
         """Run ``callback(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -136,7 +140,7 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, target, value))
+        heapq.heappush(self._queue, (self.now + delay, seq, target, value))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.
@@ -186,7 +190,7 @@ class Engine:
             if type(target) is Event and target.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
-            self._now = time
+            self.now = time
             self.events_executed += 1
             global _total_events
             _total_events += 1
@@ -230,15 +234,15 @@ class Engine:
                         self._cancelled_in_queue -= 1
                         continue
                     target.fired = True
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     target.callback(*target.args)
                 else:
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     target._resume(entry[3])
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self.events_executed += executed
             global _total_events
@@ -257,15 +261,15 @@ class Engine:
         run it replaces.  Time must not move backwards and the engine
         must not be mid-``run``.
         """
-        if now < self._now:
+        if now < self.now:
             raise SimulationError(
-                f"advance_batch to {now} before current time {self._now}"
+                f"advance_batch to {now} before current time {self.now}"
             )
         if self._running:
             raise SimulationError("advance_batch during engine.run()")
         if events < 0:
             raise SimulationError(f"negative event batch: {events}")
-        self._now = now
+        self.now = now
         self.events_executed += events
         global _total_events
         _total_events += events
@@ -281,4 +285,4 @@ class Engine:
         return len(self._queue)
 
     def __repr__(self) -> str:
-        return f"<Engine t={self._now:.1f} pending={self.pending_events}>"
+        return f"<Engine t={self.now:.1f} pending={self.pending_events}>"

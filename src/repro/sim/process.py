@@ -94,7 +94,7 @@ class Process:
             engine = self.engine
             seq = engine._seq
             engine._seq = seq + 1
-            heappush(engine._queue, (engine._now + target, seq, self, None))
+            heappush(engine._queue, (engine.now + target, seq, self, None))
         else:
             self._wait_on(target)
 

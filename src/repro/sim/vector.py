@@ -585,7 +585,7 @@ def run_fused(runner) -> None:
                 now += duration
                 busy_ns += duration
             delta_events += len(durations)
-            engine._now = now
+            engine.now = now
             service_record(now - job.started_at)
             response_record(now - job.arrived_at)
             record_completion()
@@ -627,7 +627,7 @@ def run_fused(runner) -> None:
             # unfinished/inflight/backlog result fields).
             runner._live_jobs[job.job_id] = job
             break
-        engine._now = now
+        engine.now = now
         finish_job(job)
     if not measuring:  # pragma: no cover - warmup shorter than any job
         advance(warmup, delta_events + 1)
@@ -845,7 +845,7 @@ def run_merged(runner) -> None:
 
         delta_events += 1
         t = btime
-        engine._now = t
+        engine.now = t
 
         if bkind == 2:
             e = arr_evt[bidx]

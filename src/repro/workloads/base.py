@@ -39,7 +39,7 @@ class Job:
     """One request: an iterator of steps plus latency bookkeeping.
 
     ``steps`` is the job's :data:`Step` iterator; consumers pull it
-    directly (``next(job.steps, None)`` or a ``for`` loop).
+    directly with a ``for`` loop.
     """
 
     __slots__ = ("job_id", "workload_name", "steps", "arrived_at",
@@ -160,8 +160,9 @@ class Workload:
         return steps
 
     def average_service_time_ns(self, num_jobs: int = 64) -> float:
-        """Sum of compute segments plus nominal DRAM hits per job,
-        assuming every access hits (the DRAM-only service time)."""
+        """Mean sum of a job's compute segments, in ns, over
+        ``num_jobs`` fresh jobs.  Memory accesses are not charged: no
+        DRAM-hit, cache or flash latency is added."""
         total = 0.0
         for _ in range(num_jobs):
             for compute_ns, _page, _is_write in self.make_job().steps:

@@ -50,13 +50,20 @@ class HashIndex:
             [] for _ in range(num_buckets)
         ]
         self._size = 0
-        # Memo of lookup() results per key (see lookup); any insert
-        # clears it, and pickles leave it out.
+        # Memo of lookup() results per key (see lookup), and the step
+        # templates workloads derive from them; any insert clears
+        # both, and pickles leave them out.
         self._paths: Dict[int, Tuple[Optional[int], List[int]]] = {}
+        #: Memo of per-operation ``((page, is_write), ...)`` step
+        #: templates that a workload builds from :meth:`lookup`
+        #: answers, keyed as that workload chooses.  It lives here so
+        #: that it is dropped whenever the paths it was built from are.
+        self.templates: Dict[object, Tuple[Tuple[int, bool], ...]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_paths"] = {}
+        state["templates"] = {}
         return state
 
     @property
@@ -73,6 +80,7 @@ class HashIndex:
     def insert(self, key: int) -> List[int]:
         """Insert ``key`` (idempotent); returns touched pages."""
         self._paths.clear()
+        self.templates.clear()
         bucket = self._bucket_of(key)
         pages = [self._bucket_page(bucket)]
         entries = self._buckets[bucket]
@@ -97,6 +105,7 @@ class HashIndex:
         bulk construction throws away.
         """
         self._paths.clear()
+        self.templates.clear()
         keys = list(keys)
         pages = self._entry_heap.allocate_pages(len(keys))
         buckets = self._buckets

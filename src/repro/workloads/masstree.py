@@ -62,13 +62,21 @@ class Masstree:
         self._root: object = _LeafNode(self._new_page())
         self._size = 0
         self._height = 1
-        # Memo of get() results per key (see get); insert and delete
-        # clear it, and pickles leave it out.
+        # Memo of get() results per key (see get), and the step
+        # templates workloads derive from them; insert and delete
+        # clear both, and pickles leave them out.
         self._paths: Dict[int, Tuple[Optional[int], List[int]]] = {}
+        #: Memo of per-operation ``((page, is_write), ...)`` step
+        #: templates that a workload builds from :meth:`get` and
+        #: :meth:`range_pages` answers, keyed as that workload chooses.
+        #: It lives here so that it is dropped whenever the paths it
+        #: was built from are.
+        self.templates: Dict[object, Tuple[Tuple[int, bool], ...]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_paths"] = {}
+        state["templates"] = {}
         return state
 
     def _new_page(self) -> int:
@@ -116,6 +124,7 @@ class Masstree:
     def insert(self, key: int, value_page: int) -> List[int]:
         """Insert or update; returns the touched index page path."""
         self._paths.clear()
+        self.templates.clear()
         path_nodes: List[_InteriorNode] = []
         node = self._root
         while isinstance(node, _InteriorNode):
@@ -187,6 +196,7 @@ class Masstree:
         interior levels, shrinking the root when it empties.
         """
         self._paths.clear()
+        self.templates.clear()
         ancestors: List[_InteriorNode] = []
         slots: List[int] = []
         node = self._root
@@ -281,13 +291,15 @@ class Masstree:
     # -- scans ---------------------------------------------------------------
 
     def range_pages(self, start_key: int, count: int) -> List[int]:
-        """Index+leaf pages touched by a short range scan."""
-        _, path = self.get(start_key)
-        pages = list(path)
+        """Index+leaf pages touched by a short range scan: one
+        root-to-leaf descent (the :meth:`get` path), then the leaf
+        chain until ``count`` keys have been passed."""
+        pages: List[int] = []
         node = self._root
         while isinstance(node, _InteriorNode):
-            slot = bisect.bisect_right(node.keys, start_key)
-            node = node.children[slot]
+            pages.append(node.page)
+            node = node.children[bisect.bisect_right(node.keys, start_key)]
+        pages.append(node.page)
         leaf: Optional[_LeafNode] = node
         remaining = count
         while leaf is not None and remaining > 0:
@@ -350,24 +362,51 @@ class MasstreeWorkload(Workload):
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,
                                          permute=False)
 
+    # -- step templates (memoized in tree.templates) -------------------------
+
+    def _scan_template(self, key: int):
+        """A short range scan from ``key``: after the root-to-leaf
+        descent the leaf chain is walked sequentially (Masstree range
+        queries); sequential leaf pages give spatial locality."""
+        template = tuple((page, False)
+                         for page in self.tree.range_pages(key,
+                                                           self.scan_length))
+        self.tree.templates[key] = template
+        return template
+
+    def _template(self, key: int, is_write: bool):
+        """A point get or put: the index path, then the value page."""
+        value_page, path = self.tree.get(key)
+        if value_page is None:
+            raise WorkloadError(f"key {key} missing from index")
+        template = tuple((page, False) for page in path) \
+            + ((value_page, is_write),)
+        self.tree.templates[key, is_write] = template
+        return template
+
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
-        # Compute jitter is drawn inline (see Workload.__init__).
+        # Compute jitter is drawn inline (see Workload.__init__), one
+        # draw per template step.  Scans are keyed by start key, point
+        # operations by (key, is_write).
         compute_ns = self.compute_ns
         scan_ns = compute_ns * 0.5
         rng_random = self._rng_random
+        sample = self._zipf.sample
+        templates = self.tree.templates
+        scan_fraction = self.scan_fraction
+        write_fraction = self.write_fraction
         for _ in range(self.ops_per_job):
-            key = self._zipf.sample()
-            if rng_random() < self.scan_fraction:
-                # Short range scan: after the root-to-leaf descent the
-                # leaf chain is walked sequentially (Masstree range
-                # queries); sequential leaf pages give spatial locality.
-                for page in self.tree.range_pages(key, self.scan_length):
-                    yield (scan_ns * (0.5 + rng_random()), page, False)
+            key = sample()
+            if rng_random() < scan_fraction:
+                template = templates.get(key)
+                if template is None:
+                    template = self._scan_template(key)
+                for page, write in template:
+                    yield (scan_ns * (0.5 + rng_random()), page, write)
                 continue
-            is_write = rng_random() < self.write_fraction
-            value_page, path = self.tree.get(key)
-            if value_page is None:
-                raise WorkloadError(f"key {key} missing from index")
-            for page in path:
-                yield (compute_ns * (0.5 + rng_random()), page, False)
-            yield (compute_ns * (0.5 + rng_random()), value_page, is_write)
+            is_write = rng_random() < write_fraction
+            template = templates.get((key, is_write))
+            if template is None:
+                template = self._template(key, is_write)
+            for page, write in template:
+                yield (compute_ns * (0.5 + rng_random()), page, write)

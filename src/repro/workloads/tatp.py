@@ -89,18 +89,51 @@ class TatpWorkload(Workload):
 
     # -- transactions -------------------------------------------------------------
 
+    def _template(self, kind: str, subscriber: int):
+        """The ``((page, is_write), ...)`` steps of one ``kind``
+        transaction on ``subscriber``, memoized in ``index.templates``:
+        the subscriber's hash-index path, then the transaction's row
+        accesses."""
+        row_page, path = self.index.lookup(subscriber)
+        if row_page is None:
+            raise WorkloadError(f"subscriber {subscriber} missing")
+        reads = tuple((page, False) for page in path)
+        if kind == "get_subscriber_data":
+            template = reads
+        elif kind == "get_access_data":
+            template = reads + (
+                (self._array_page(self._access_base, subscriber), False),)
+        elif kind == "get_new_destination":
+            template = reads + (
+                (self._array_page(self._facility_base, subscriber), False),
+                (self._array_page(self._forwarding_base, subscriber), False))
+        elif kind == "update_location":
+            template = reads[:-1] + ((row_page, True),)
+        elif kind == "update_subscriber_data":
+            template = reads[:-1] + (
+                (row_page, True),
+                (self._array_page(self._facility_base, subscriber), True))
+        elif kind == "insert_call_forwarding":
+            template = reads + (
+                (self._array_page(self._facility_base, subscriber), False),
+                (self._array_page(self._forwarding_base, subscriber), True))
+        else:  # pragma: no cover - guarded by MIX validation
+            raise WorkloadError(f"unknown TATP transaction {kind!r}")
+        self.index.templates[kind, subscriber] = template
+        return template
+
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
-        # Transaction bodies are inlined rather than delegated through a
-        # per-transaction sub-generator: every step of a TATP job would
-        # otherwise resume two generator frames, and this is the hottest
-        # step producer in the suite.  Compute jitter is also drawn
-        # inline (see Workload.__init__).  Draw order (zipf
-        # sample, mix roll, per-step compute jitter) is unchanged.
+        # One generator frame per job, and one memoized template per
+        # transaction: a transaction's pages are a fixed function of
+        # (kind, subscriber) while the index is unchanged, so only the
+        # compute jitter (drawn inline, see Workload.__init__) is drawn
+        # per step.  Draw order (zipf sample, mix roll, per-step
+        # compute jitter) is unchanged.
         compute_ns = self.compute_ns
         sample = self._zipf.sample
         rng_random = self._rng_random
         thresholds = self._mix_thresholds
-        lookup = self.index.lookup
+        templates = self.index.templates
         for _ in range(self.transactions_per_job):
             subscriber = sample()
             roll = rng_random()
@@ -109,41 +142,8 @@ class TatpWorkload(Workload):
                 if roll < threshold:
                     kind = candidate
                     break
-            row_page, path = lookup(subscriber)
-            if row_page is None:
-                raise WorkloadError(f"subscriber {subscriber} missing")
-
-            if kind == "get_subscriber_data":
-                for page in path:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-            elif kind == "get_access_data":
-                for page in path:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._access_base, subscriber), False)
-            elif kind == "get_new_destination":
-                for page in path:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._facility_base, subscriber), False)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._forwarding_base, subscriber), False)
-            elif kind == "update_location":
-                for page in path[:-1]:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-                yield (compute_ns * (0.5 + rng_random()), path[-1], True)
-            elif kind == "update_subscriber_data":
-                for page in path[:-1]:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-                yield (compute_ns * (0.5 + rng_random()), path[-1], True)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._facility_base, subscriber), True)
-            elif kind == "insert_call_forwarding":
-                for page in path:
-                    yield (compute_ns * (0.5 + rng_random()), page, False)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._facility_base, subscriber), False)
-                yield (compute_ns * (0.5 + rng_random()),
-                       self._array_page(self._forwarding_base, subscriber), True)
-            else:  # pragma: no cover - guarded by MIX validation
-                raise WorkloadError(f"unknown TATP transaction {kind!r}")
+            template = templates.get((kind, subscriber))
+            if template is None:
+                template = self._template(kind, subscriber)
+            for page, is_write in template:
+                yield (compute_ns * (0.5 + rng_random()), page, is_write)

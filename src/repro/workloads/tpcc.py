@@ -73,58 +73,56 @@ class TpccWorkload(Workload):
         slot = customer * self._customer_budget // self.num_customers
         return self._customer_base + min(slot, self._customer_budget - 1)
 
-    def _stock_page(self, item: int) -> int:
-        return self._stock_base + (item // ROWS_PER_PAGE) % self._stock_budget
-
-    def _item_page(self, item: int) -> int:
-        return self._item_base + (item % (self._item_budget * ROWS_PER_PAGE)) \
-            // ROWS_PER_PAGE
-
-    def _warehouse_page(self, customer: int) -> int:
-        return self._warehouse_base + customer % self._warehouse_budget
-
-    def _next_orderline_page(self) -> int:
-        page = self._orderline_base + \
-            (self._orderline_cursor // ROWS_PER_PAGE) % self._orderline_budget
-        self._orderline_cursor += 1
-        return page
-
     # -- transactions ------------------------------------------------------------
 
-    def _new_order_steps(self, customer: int) -> Iterator[Step]:
-        # Compute jitter is drawn inline (see Workload.__init__).
-        compute_ns = self.compute_ns
-        rng_random = self._rng_random
-        sample = self._item_zipf.sample
-        warehouse = self._warehouse_page(customer)
-        yield (compute_ns * (0.5 + rng_random()), warehouse, False)
-        # District row: read-modify-write of next_o_id.
-        yield (compute_ns * (0.5 + rng_random()), warehouse, True)
-        yield (compute_ns * (0.5 + rng_random()),
-               self._customer_page(customer), False)
-        for _ in range(self.items_per_order):
-            item = sample()
-            stock = self._stock_page(item)
-            yield (compute_ns * (0.5 + rng_random()),
-                   self._item_page(item), False)
-            yield (compute_ns * (0.5 + rng_random()), stock, False)
-            yield (compute_ns * (0.5 + rng_random()), stock, True)
-            yield (compute_ns * (0.5 + rng_random()),
-                   self._next_orderline_page(), True)
-
-    def _payment_steps(self, customer: int) -> Iterator[Step]:
-        compute_ns = self.compute_ns
-        rng_random = self._rng_random
-        customer_page = self._customer_page(customer)
-        yield (compute_ns * (0.5 + rng_random()),
-               self._warehouse_page(customer), True)
-        yield (compute_ns * (0.5 + rng_random()), customer_page, False)
-        yield (compute_ns * (0.5 + rng_random()), customer_page, True)
-
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        # New-order and payment bodies are inlined, with the table
+        # addressing, so every step resumes one generator frame (as in
+        # TATP).  Compute jitter is drawn inline (see Workload.__init__).
+        # Draw order (customer sample, mix roll, per-step jitter, item
+        # samples) and the order-line cursor's advance per step are
+        # unchanged.
+        compute_ns = self.compute_ns
+        rng_random = self._rng_random
+        sample_customer = self._customer_zipf.sample
+        sample_item = self._item_zipf.sample
+        new_order_weight = self.NEW_ORDER_WEIGHT
+        items_per_order = self.items_per_order
+        warehouse_base = self._warehouse_base
+        warehouse_budget = self._warehouse_budget
+        stock_base = self._stock_base
+        stock_budget = self._stock_budget
+        item_base = self._item_base
+        item_rows = self._item_budget * ROWS_PER_PAGE
+        orderline_base = self._orderline_base
+        orderline_budget = self._orderline_budget
         for _ in range(self.transactions_per_job):
-            customer = self._customer_zipf.sample()
-            if self._rng_random() < self.NEW_ORDER_WEIGHT:
-                yield from self._new_order_steps(customer)
-            else:
-                yield from self._payment_steps(customer)
+            customer = sample_customer()
+            warehouse = warehouse_base + customer % warehouse_budget
+            if rng_random() < new_order_weight:
+                yield (compute_ns * (0.5 + rng_random()), warehouse, False)
+                # District row: read-modify-write of next_o_id.
+                yield (compute_ns * (0.5 + rng_random()), warehouse, True)
+                yield (compute_ns * (0.5 + rng_random()),
+                       self._customer_page(customer), False)
+                for _ in range(items_per_order):
+                    item = sample_item()
+                    stock = stock_base + (item // ROWS_PER_PAGE) % stock_budget
+                    yield (compute_ns * (0.5 + rng_random()),
+                           item_base + (item % item_rows) // ROWS_PER_PAGE,
+                           False)
+                    yield (compute_ns * (0.5 + rng_random()), stock, False)
+                    yield (compute_ns * (0.5 + rng_random()), stock, True)
+                    # The order-line log is shared by all of this
+                    # workload's jobs: advance its cursor per step.
+                    cursor = self._orderline_cursor
+                    self._orderline_cursor = cursor + 1
+                    yield (compute_ns * (0.5 + rng_random()),
+                           orderline_base
+                           + (cursor // ROWS_PER_PAGE) % orderline_budget,
+                           True)
+            else:  # payment
+                customer_page = self._customer_page(customer)
+                yield (compute_ns * (0.5 + rng_random()), warehouse, True)
+                yield (compute_ns * (0.5 + rng_random()), customer_page, False)
+                yield (compute_ns * (0.5 + rng_random()), customer_page, True)

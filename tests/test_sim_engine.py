@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
@@ -207,3 +210,18 @@ def test_compaction_skips_tiny_queues():
     assert engine.compactions == 0
     engine.run()
     assert engine.queue_length == 0
+
+
+def test_only_engine_and_vector_backend_assign_now():
+    # Engine.now is a plain attribute for speed; nothing but the engine
+    # and the vector backend may move it (see the Engine docstring).
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    allowed = {src / "sim" / "engine.py", src / "sim" / "vector.py"}
+    assignment = re.compile(r"\.now\s*[-+*/]?=(?!=)")
+    offenders = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py")) if path not in allowed
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if assignment.search(line)
+    ]
+    assert offenders == []

@@ -132,7 +132,7 @@ class TestFtlProperties:
 
 
 class TestTagIndexCoherence:
-    """The per-set ``page -> Way`` dicts are an index over the way
+    """The cache-wide ``page -> Way`` dicts are an index over the way
     lists, not the source of truth; any operation sequence must leave
     the two views identical (the organization-module invariants)."""
 
@@ -171,16 +171,25 @@ class TestTagIndexCoherence:
                     except ProtocolError:
                         pass  # every way of the set reserved
 
-            for set_index, ways in enumerate(org._sets):
-                valid_view = {
-                    way.page: way for way in ways if way.page is not None
-                }
-                reserved_view = {
-                    way.reserved_for: way
-                    for way in ways if way.reserved_for is not None
-                }
-                assert org._tag_index[set_index] == valid_view
-                assert org._reserved_index[set_index] == reserved_view
-                # A reserved way never simultaneously holds a page.
-                assert all(way.page is None
-                           for way in reserved_view.values())
+            valid_view = {}
+            reserved_view = {}
+            for ways in org._sets:
+                for way in ways:
+                    if way.page is not None:
+                        assert way.page not in valid_view  # one way a page
+                        valid_view[way.page] = way
+                    if way.reserved_for is not None:
+                        assert way.reserved_for not in reserved_view
+                        reserved_view[way.reserved_for] = way
+            # A page is indexed iff some way holds it (or is reserved
+            # for it), and the index names that very way.
+            assert org._tags == valid_view
+            assert org._reserved == reserved_view
+            # Every indexed way sits in the set its page maps to.
+            for index in (org._tags, org._reserved):
+                for page, way in index.items():
+                    assert any(member is way
+                               for member in org._sets[org.set_index(page)])
+            # A reserved way never simultaneously holds a page.
+            assert all(way.page is None
+                       for way in reserved_view.values())

@@ -1,5 +1,7 @@
 """Tests for Zipf, heaps, and the workload data structures."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.workloads import (
     SpreadHeap,
     ZipfianGenerator,
 )
+from repro.workloads.masstree import _InteriorNode
 
 
 class TestZipfianGenerator:
@@ -205,6 +208,39 @@ class TestMasstree:
         tree = self.make_tree(500)
         pages = tree.range_pages(100, count=64)
         assert len(pages) >= tree.height
+
+    @staticmethod
+    def two_walk_range_pages(tree, start_key, count):
+        """A scan's pages the two-walk way: the get() path, then a
+        second root-to-leaf descent to reach the leaf chain."""
+        pages = list(tree.get(start_key)[1])
+        node = tree._root
+        while isinstance(node, _InteriorNode):
+            node = node.children[bisect.bisect_right(node.keys, start_key)]
+        leaf, remaining = node, count
+        while leaf is not None and remaining > 0:
+            if pages[-1] != leaf.page:
+                pages.append(leaf.page)
+            remaining -= len(leaf.keys)
+            leaf = leaf.next_leaf
+        return pages
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 400)),
+                    max_size=300),
+           st.lists(st.tuples(st.integers(-10, 410), st.integers(0, 40)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_range_pages_matches_two_walks(self, ops, scans):
+        tree = Masstree(SpreadHeap(0, 512, 128), leaf_capacity=4,
+                        interior_fanout=3)
+        for is_insert, key in ops:
+            if is_insert:
+                tree.insert(key, value_page=key)
+            else:
+                tree.delete(key)
+        for start_key, count in scans:
+            assert (tree.range_pages(start_key, count)
+                    == self.two_walk_range_pages(tree, start_key, count))
 
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=300,
                     unique=True))
